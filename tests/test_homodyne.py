@@ -1,6 +1,7 @@
 """Measurement layer: samplers, matched filter, spectra, tomography."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sqzlab import fock
 from sqzlab.gaussian import displace, squeeze, vacuum, wigner_gaussian
 from sqzlab.homodyne import (
     PhotocurrentTrace,
+    _ramlak_kernel,
     QuadratureDataset,
     default_filter_cutoff,
     load_dataset_csv,
@@ -77,6 +79,29 @@ class TestSampler:
         bad = fock.FockState(amps=np.array([0.5, 0.0, 0.0], dtype=complex))
         with pytest.raises(ValueError, match="normalized"):
             sample_quadratures(bad, 0, [0.0], 10, seed=0)
+
+    @pytest.mark.parametrize("entangled", [False, True])
+    def test_fock_sampler_is_inverse_cdf_of_pdf(self, entangled):
+        # the sampler's shared Hermite basis gives bit-identical samples
+        # to inverse-CDF draws from quadrature_pdf at each phase
+        if entangled:
+            state, mode = fock.tmsv_fock(0.5, 10), 1
+        else:
+            state, mode = fock.from_amplitudes([0, 1] + [0] * 10), 0
+        thetas = np.array([0.0, 0.4, 1.3, 2.9])
+        ds = sample_quadratures(state, mode, thetas, 500, seed=16)
+        span = np.sqrt(2.0 * state.cutoff) + 5.0
+        grid = np.linspace(-span, span, 4097)
+        dx = grid[1] - grid[0]
+        children = np.random.SeedSequence(16).spawn(thetas.size)
+        expected = []
+        for theta, child in zip(thetas, children):
+            pdf = quadrature_pdf(state, mode, theta, grid)
+            cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))
+            cdf /= cdf[-1]
+            u = np.random.default_rng(child).uniform(size=500)
+            expected.append(np.interp(u, cdf, grid))
+        assert np.array_equal(ds.xs, np.concatenate(expected))
 
     def test_theta_stored_mod_two_pi(self):
         ds = sample_quadratures(vacuum(1), 0, [2 * math.pi + 0.25], 5, seed=0)
@@ -228,6 +253,22 @@ class TestDriftAndSpectrum:
         floor = spectrum(noisy, 32).band_mean(1e4, 0.9e6)
         assert floor == pytest.approx(0.75, rel=0.10)
 
+    def test_drift_matches_reference_recursion(self):
+        quad_variance, amplitude, tau, fs, duration = 0.4, 0.6, 2e-6, 4e6, 1.25e-3
+        trace = photocurrent_with_drift(quad_variance, amplitude, tau, fs, duration, seed=38)
+        n = int(round(fs * duration))
+        rng = np.random.default_rng(np.random.SeedSequence(38))
+        white = rng.normal(0.0, math.sqrt(quad_variance), size=n)
+        decay = np.exp(-1.0 / (fs * tau))
+        kick = amplitude * np.sqrt(1.0 - decay**2)
+        shocks = rng.normal(0.0, 1.0, size=n)
+        drift = np.empty(n)
+        drift[0] = amplitude * shocks[0]
+        for k in range(1, n):
+            drift[k] = decay * drift[k - 1] + kick * shocks[k]
+        assert n == 5000
+        assert np.array_equal(trace.values, white + drift)
+
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError, match="1024|2\\^10|short"):
             photocurrent_with_drift(0.5, 0.0, 1e-6, 1e4, 1e-3, seed=0)
@@ -259,7 +300,84 @@ class TestDriftAndSpectrum:
         assert np.var(xp) == pytest.approx(0.5, abs=variance_bound(0.5, reps))
 
 
+def exact_backprojection(ds, points, kc):
+    """Direct sum of the Ram-Lak kernel over every (point, sample) pair.
+
+    The reference that reconstruct_wigner's binned FFT approximates, for
+    equally spaced phases (weight pi / phases each).
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    thetas = np.unique(ds.thetas)
+    accum = np.zeros(points.shape[0])
+    for theta in thetas:
+        xs = ds.xs[ds.thetas == theta]
+        s = points[:, 0] * np.cos(theta) + points[:, 1] * np.sin(theta)
+        accum += np.sum(_ramlak_kernel(s[:, None] - xs[None, :], kc), axis=1) / xs.size
+    return accum * (np.pi / thetas.size) / (4.0 * np.pi**2)
+
+
+def _squeezed_case():
+    thetas = np.linspace(0, math.pi, 24, endpoint=False)
+    ds = sample_quadratures(squeeze(vacuum(1), 0, 0.69), 0, thetas, 1000, seed=48)
+    return ds, wigner_grid(4.0, 41)[0], None
+
+
+def _displaced_case():
+    state = displace(squeeze(vacuum(1), 0, 0.5), 0, 0.8)
+    thetas = np.linspace(0, math.pi, 16, endpoint=False)
+    return sample_quadratures(state, 0, thetas, 1000, seed=49), wigner_grid(6.0, 49)[0], None
+
+
+def _single_point_case():
+    one = fock.from_amplitudes([0, 1] + [0] * 10)
+    thetas = np.linspace(0, math.pi, 24, endpoint=False)
+    return sample_quadratures(one, 0, thetas, 1000, seed=50), [[0.0, 0.0]], None
+
+
+def _explicit_cutoff_case():
+    thetas = np.linspace(0, math.pi, 12, endpoint=False)
+    ds = sample_quadratures(vacuum(1), 0, thetas, 500, seed=51)
+    return ds, wigner_grid(3.0, 13)[0], 8.0
+
+
+class TestBinnedBackprojection:
+    @pytest.mark.parametrize(
+        "case", [_squeezed_case, _displaced_case, _single_point_case, _explicit_cutoff_case]
+    )
+    def test_matches_exact_pair_sum(self, case):
+        ds, points, cutoff = case()
+        w = reconstruct_wigner(ds, points, filter_cutoff=cutoff)
+        kc = default_filter_cutoff(ds) if cutoff is None else cutoff
+        exact = exact_backprojection(ds, points, kc)
+        assert np.max(np.abs(w - exact)) <= 2e-4 * np.max(np.abs(exact))
+
+    def test_outlying_sample_with_hard_cutoff(self):
+        thetas = np.linspace(0, math.pi, 12, endpoint=False)
+        ds = sample_quadratures(vacuum(1), 0, thetas, 500, seed=52)
+        xs = np.array(ds.xs)
+        xs[0] = 50.0
+        ds = QuadratureDataset(thetas=ds.thetas, xs=xs)
+        points = wigner_grid(3.0, 9)[0]
+        start = time.perf_counter()
+        w = reconstruct_wigner(ds, points, filter_cutoff=40.0)
+        assert time.perf_counter() - start < 1.0
+        exact = exact_backprojection(ds, points, 40.0)
+        assert np.max(np.abs(w - exact)) <= 2e-4 * np.max(np.abs(exact))
+
+
 class TestTomography:
+    def test_uneven_phases_weighted_by_coverage(self):
+        # 18 phases crowd [0, 0.5]; equal weights would over-count them
+        thetas = np.concatenate(
+            [np.linspace(0, 0.5, 18), np.linspace(0.5, math.pi, 8)[1:-1]]
+        )
+        ds = sample_quadratures(vacuum(1), 0, thetas, 1000, seed=7)
+        points, axis, _ = wigner_grid(5.0, 41)
+        w = reconstruct_wigner(ds, points)
+        w_true = wigner_gaussian(vacuum(1), points)
+        assert math.sqrt(np.mean((w - w_true) ** 2)) < 0.05 * np.max(w_true)
+        assert np.sum(w) * (axis[1] - axis[0]) ** 2 == pytest.approx(1.0, abs=0.05)
+
     def test_vacuum_reconstruction(self):
         thetas = np.linspace(0, math.pi, 24, endpoint=False)
         ds = sample_quadratures(vacuum(1), 0, thetas, 2000, seed=41)
