@@ -16,7 +16,7 @@ Conventions (used throughout the package):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +60,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class GaussianState:
     """An N-mode Gaussian state: quadrature mean vector and covariance matrix.
 
+    The constructor is the trust boundary (caller arrays, ``from_json``,
+    ``dataclasses.replace``): it checks finiteness, symmetry and, in O(N^3),
+    the uncertainty principle. Gates skip that check, because an exact
+    symplectic or pure-loss map keeps a physical state physical; they check
+    only the rows they touch, for NaN, inf and overflow, in O(N).
+
     Attributes
     ----------
     mean : (2N,) array
@@ -78,6 +84,8 @@ class GaussianState:
             raise ValueError("mean must have length 2N with N >= 1")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("cov must be 2N x 2N, matching the mean vector")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and cov must be finite")
         scale = max(1.0, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > 1e-12 * scale:
             raise ValueError("covariance matrix is not symmetric")
@@ -89,6 +97,15 @@ class GaussianState:
             )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+    @classmethod
+    def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
+        """Wrap arrays that a gate made from a valid state, without checks."""
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(mean=mean, cov=cov)
+        return state
 
     @property
     def n_modes(self) -> int:
@@ -117,42 +134,27 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class SymplecticOp:
-    """A Gaussian unitary: symplectic matrix plus a phase-space shift.
+    """A Gaussian unitary's symplectic matrix S, acting as cov -> S cov S^T.
 
-    Acts on states as mean -> S mean + shift, cov -> S cov S^T.
+    The gates take their 2x2 and 4x4 blocks from the ``*_op`` builders,
+    built at one or two modes, so every block passes this check.
     """
 
     matrix: np.ndarray
-    shift: np.ndarray = field(default=None)
 
     def __post_init__(self):
         matrix = _readonly(self.matrix)
-        n2 = matrix.shape[0]
-        shift = np.zeros(n2) if self.shift is None else np.asarray(self.shift, float)
-        shift = _readonly(shift)
-        omega = symplectic_form(n2 // 2)
+        omega = symplectic_form(matrix.shape[0] // 2)
         defect = matrix.T @ omega @ matrix - omega
         # rounding in S^T Omega S grows like eps * |S|^2, so scale the check
-        tol = STRUCTURAL_TOL * max(1.0, float(np.max(np.abs(matrix))) ** 2)
-        if np.max(np.abs(defect)) > tol:
+        scale = max(1.0, float(np.max(np.abs(matrix))))
+        if np.max(np.abs(defect)) / scale / scale > STRUCTURAL_TOL:
             raise ValueError("matrix is not symplectic (S^T Omega S != Omega)")
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "shift", shift)
-
-    def __call__(self, state: GaussianState) -> GaussianState:
-        if self.matrix.shape[0] != 2 * state.n_modes:
-            raise ValueError("operator and state mode counts differ")
-        return GaussianState(
-            mean=self.matrix @ state.mean + self.shift,
-            cov=self.matrix @ state.cov @ self.matrix.T,
-        )
 
     def compose(self, other: "SymplecticOp") -> "SymplecticOp":
         """The operation 'self after other'."""
-        return SymplecticOp(
-            matrix=self.matrix @ other.matrix,
-            shift=self.matrix @ other.shift + self.shift,
-        )
+        return SymplecticOp(matrix=self.matrix @ other.matrix)
 
 
 def _embed(n_modes: int, blocks: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
@@ -234,38 +236,46 @@ def beam_splitter_op(
     )
 
 
-def _check_pair(state: GaussianState, modes: tuple[int, int]):
-    i, j = modes
-    _check_mode(state, i)
-    _check_mode(state, j)
-    if i == j:
+def _act(state: GaussianState, modes, block, noise=0.0, shift=0.0) -> GaussianState:
+    """Apply a gate to ``modes`` in O(N): on their quadratures only,
+    mean -> block mean + shift and cov -> block cov block^T + noise * I.
+    """
+    for mode in modes:
+        _check_mode(state, mode)
+    if len(set(modes)) != len(modes):
         raise ValueError("the two modes must be distinct")
+    idx = np.array([q for mode in modes for q in (2 * mode, 2 * mode + 1)])
+    mean, cov = state.mean.copy(), state.cov.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        mean[idx] = block @ mean[idx] + shift
+        cov[idx] = block @ cov[idx]
+        cov[:, idx] = cov[:, idx] @ block.T
+        cov[idx, idx] += noise
+    if not (np.isfinite(mean[idx]).all() and np.isfinite(cov[idx]).all()):
+        raise ValueError("gate gave a non-finite state (non-finite parameter or overflow)")
+    return GaussianState._trusted(mean, cov)
 
 
 def squeeze(state: GaussianState, mode: int, r: float, phi: float = 0.0) -> GaussianState:
     """Apply a single-mode squeezer to one mode of the state."""
-    _check_mode(state, mode)
-    return squeeze_op(state.n_modes, mode, r, phi)(state)
+    return _act(state, (mode,), squeeze_op(1, 0, r, phi).matrix)
 
 
 def two_mode_squeeze(state: GaussianState, modes: tuple[int, int], r: float) -> GaussianState:
     """Apply a two-mode squeezer to a pair of modes."""
-    _check_pair(state, modes)
-    return two_mode_squeeze_op(state.n_modes, modes, r)(state)
+    return _act(state, modes, two_mode_squeeze_op(2, (0, 1), r).matrix)
 
 
 def beam_splitter(
     state: GaussianState, modes: tuple[int, int], tau: float, rho: float
 ) -> GaussianState:
     """Mix two modes on a beam splitter with amplitudes (tau, rho)."""
-    _check_pair(state, modes)
-    return beam_splitter_op(state.n_modes, modes, tau, rho)(state)
+    return _act(state, modes, beam_splitter_op(2, (0, 1), tau, rho).matrix)
 
 
 def rotate(state: GaussianState, mode: int, theta: float) -> GaussianState:
     """Rotate one mode in phase space by theta."""
-    _check_mode(state, mode)
-    return rotation_op(state.n_modes, mode, theta)(state)
+    return _act(state, (mode,), rotation_op(1, 0, theta).matrix)
 
 
 def displace(state: GaussianState, mode: int, alpha: complex) -> GaussianState:
@@ -274,12 +284,9 @@ def displace(state: GaussianState, mode: int, alpha: complex) -> GaussianState:
     Shifts the mean by (sqrt(2) Re alpha, sqrt(2) Im alpha); the covariance
     is unchanged.
     """
-    _check_mode(state, mode)
     alpha = complex(alpha)
-    shift = np.zeros(2 * state.n_modes)
-    shift[2 * mode] = np.sqrt(2.0) * alpha.real
-    shift[2 * mode + 1] = np.sqrt(2.0) * alpha.imag
-    return GaussianState(mean=state.mean + shift, cov=state.cov)
+    shift = np.sqrt(2.0) * np.array([alpha.real, alpha.imag])
+    return _act(state, (mode,), np.eye(2), shift=shift)
 
 
 def loss_channel(state: GaussianState, mode: int, transmissivity: float) -> GaussianState:
@@ -288,17 +295,10 @@ def loss_channel(state: GaussianState, mode: int, transmissivity: float) -> Gaus
     Per-quadrature variance maps as V -> T V + (1 - T)/2, the mean scales
     by sqrt(T), and cross-covariances with other modes scale by sqrt(T).
     """
-    _check_mode(state, mode)
     t = float(transmissivity)
     if not 0.0 <= t <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
-    n2 = 2 * state.n_modes
-    scale = np.ones(n2)
-    scale[2 * mode : 2 * mode + 2] = np.sqrt(t)
-    x = np.diag(scale)
-    y = np.zeros((n2, n2))
-    y[2 * mode, 2 * mode] = y[2 * mode + 1, 2 * mode + 1] = (1.0 - t) * VACUUM_VARIANCE
-    return GaussianState(mean=scale * state.mean, cov=x @ state.cov @ x.T + y)
+    return _act(state, (mode,), np.sqrt(t) * np.eye(2), noise=(1.0 - t) * VACUUM_VARIANCE)
 
 
 def quadrature_variance(state: GaussianState, mode: int, theta: float) -> float:

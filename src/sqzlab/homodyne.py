@@ -57,12 +57,16 @@ class QuadratureDataset:
         return zip(self.thetas, self.xs)
 
 
-def save_dataset_csv(dataset: QuadratureDataset, path):
+def _save_csv(path, header: list[str], *columns):
+    """Write float columns under a header, each value as repr(float(v))."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["theta", "x"])
-        for theta, x in dataset.samples:
-            writer.writerow([repr(float(theta)), repr(float(x))])
+        writer.writerow(header)
+        writer.writerows(zip(*(map(repr, map(float, col)) for col in columns)))
+
+
+def save_dataset_csv(dataset: QuadratureDataset, path):
+    _save_csv(path, ["theta", "x"], dataset.thetas, dataset.xs)
 
 
 def load_dataset_csv(path) -> QuadratureDataset:
@@ -303,19 +307,13 @@ class NoiseSpectrum:
 
 
 def save_noise_spectrum_csv(spectrum_: NoiseSpectrum, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "v_plus", "v_minus"])
-        for f, vp, vm in zip(spectrum_.freqs, spectrum_.v_plus, spectrum_.v_minus):
-            writer.writerow([repr(float(f)), repr(float(vp)), repr(float(vm))])
+    _save_csv(
+        path, ["freq_hz", "v_plus", "v_minus"], spectrum_.freqs, spectrum_.v_plus, spectrum_.v_minus
+    )
 
 
 def save_power_spectrum_csv(spectrum_: PowerSpectrum, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "power"])
-        for f, p in zip(spectrum_.freqs, spectrum_.power):
-            writer.writerow([repr(float(f)), repr(float(p))])
+    _save_csv(path, ["freq_hz", "power"], spectrum_.freqs, spectrum_.power)
 
 
 def spectrum(trace: PhotocurrentTrace, n_segments: int = 16) -> PowerSpectrum:
@@ -359,11 +357,7 @@ def wigner_grid(extent: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def save_wigner_csv(points: np.ndarray, values: np.ndarray, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "p", "w"])
-        for (x, p), w in zip(points, values):
-            writer.writerow([repr(float(x)), repr(float(p)), repr(float(w))])
+    _save_csv(path, ["x", "p", "w"], *np.asarray(points).T, values)
 
 
 def _phase_groups(dataset: QuadratureDataset):

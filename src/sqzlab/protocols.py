@@ -17,7 +17,7 @@ from . import fock
 from .fock import FockState
 from .gaussian import (
     GaussianState,
-    beam_splitter_op,
+    beam_splitter,
     loss_channel,
     quadrature_variance,
     squeeze,
@@ -119,10 +119,9 @@ def teleport_wigner_check(
     # three-mode state: mode 0 input, modes 1-2 the entangled resource
     resource = two_mode_squeeze(vacuum(2), (0, 1), r_resource)
     mean6 = np.concatenate([input_state.mean, resource.mean])
-    cov6 = block_diag(input_state.cov, resource.cov)
-    s = beam_splitter_op(3, (0, 1), 1.0 / SQRT2, 1.0 / SQRT2).matrix
-    mean6 = s @ mean6
-    cov6 = s @ cov6 @ s.T
+    joint = GaussianState(mean=mean6, cov=block_diag(input_state.cov, resource.cov))
+    joint = beam_splitter(joint, (0, 1), 1.0 / SQRT2, 1.0 / SQRT2)
+    mean6, cov6 = joint.mean, joint.cov
 
     # keep (X'_a, P'_b, X_c, P_c); the first two are measured
     idx = [0, 3, 4, 5]

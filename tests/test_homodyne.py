@@ -489,3 +489,42 @@ class TestCsvWriters:
         assert path.read_text().splitlines()[0] == "x,p,w"
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_allclose(rows[:, 2], values, atol=1e-15)
+
+    def test_exact_bytes(self, tmp_path):
+        # every value as repr(float), csv.writer's CRLF line ends
+        from sqzlab.homodyne import (
+            NoiseSpectrum,
+            PowerSpectrum,
+            save_noise_spectrum_csv,
+            save_power_spectrum_csv,
+            save_wigner_csv,
+        )
+
+        freqs, lo, hi = [1e5, 2.5e6], [0.1, 0.25], [5.0, 1 / 3]
+        cases = [
+            (
+                save_dataset_csv,
+                (QuadratureDataset(thetas=np.array([0.0, 0.5]), xs=np.array([-0.1, 3.0])),),
+                b"theta,x\r\n0.0,-0.1\r\n0.5,3.0\r\n",
+            ),
+            (
+                save_wigner_csv,
+                ([[0.0, -1.5], [0.1, 2.0]], [0.25, 1e-20]),
+                b"x,p,w\r\n0.0,-1.5,0.25\r\n0.1,2.0,1e-20\r\n",
+            ),
+            (
+                save_noise_spectrum_csv,
+                (NoiseSpectrum(freqs=freqs, v_plus=hi, v_minus=lo),),
+                b"freq_hz,v_plus,v_minus\r\n100000.0,5.0,0.1\r\n"
+                b"2500000.0,0.3333333333333333,0.25\r\n",
+            ),
+            (
+                save_power_spectrum_csv,
+                (PowerSpectrum(freqs=freqs, power=lo),),
+                b"freq_hz,power\r\n100000.0,0.1\r\n2500000.0,0.25\r\n",
+            ),
+        ]
+        for i, (save, args, expected) in enumerate(cases):
+            path = tmp_path / f"{i}.csv"
+            save(*args, path)
+            assert path.read_bytes() == expected
