@@ -9,11 +9,11 @@ state as an even cat ("kitten") superposition of two coherent states.
 import numpy as np
 
 from sqzlab import coherent_fock, fidelity, squeezed_vacuum_fock, tmsv_fock
-from sqzlab.fock import branch_probabilities, mean_photon_number
+from sqzlab.fock import branch_probabilities, mean_photon_number, suggest_cutoff
 from sqzlab.protocols import ideal_even_kitten
 
 print("== number distribution of a squeezed vacuum (r = 0.9) ==")
-sq = squeezed_vacuum_fock(0.9, 24)
+sq = squeezed_vacuum_fock(0.9, suggest_cutoff("squeezed", 0.9))
 probs = branch_probabilities(sq, 0)
 for n in range(8):
     bar = "#" * int(120 * probs[n])

@@ -197,7 +197,7 @@ def suggest_cutoff(kind: str, value, tail_mass: float = 1e-8) -> int:
         t2 = math.tanh(float(value)) ** 2
         if t2 == 0.0:
             return 1
-        total, term, m = 0.0, 1.0 / math.cosh(float(value)) ** 2, 0
+        total, term, m = 0.0, 1.0 / math.cosh(float(value)), 0
         total += term
         while 1.0 - total > tail_mass and 2 * m < 10 * MAX_CUTOFF:
             m += 1
@@ -249,17 +249,20 @@ def apply_annihilation(state: FockState, mode: int) -> tuple[FockState, float]:
 
 
 @lru_cache(maxsize=8)
-def _beam_splitter_unitary(cutoff: int, theta: float) -> np.ndarray:
-    """Two-mode beam splitter unitary exp(theta (a b^dag - a^dag b)).
+def _beam_splitter_blocks(cutoff: int, theta: float) -> tuple:
+    """exp(theta (a b^dag - a^dag b)) as one block per total photon number N.
 
-    Heisenberg action: a -> cos(theta) a - sin(theta) b,
-    b -> cos(theta) b + sin(theta) a. The generator preserves total photon
-    number, so the truncated exponential is exactly unitary on the
-    retained space and preserves the total-photon-number distribution.
+    The generator conserves N = n_a + n_b, so truncation keeps it unitary.
+    On n_a = max(0, N - d + 1) .. min(N, d - 1) it is tridiagonal with
+    theta sqrt((n_a + 1) n_b) above the diagonal and its negative below
+    (Miatto & Quesada, Quantum 4, 366 (2020)). Returns (n_a, n_b, block).
     """
-    a = annihilation_matrix(cutoff)
-    gen = theta * (np.kron(a, a.T) - np.kron(a.T, a))
-    return expm(gen)
+    blocks = []
+    for total in range(2 * cutoff - 1):
+        na = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
+        couple = theta * np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
+        blocks.append((na, total - na, expm(np.diag(couple, 1) - np.diag(couple, -1))))
+    return tuple(blocks)
 
 
 def beam_splitter_fock(
@@ -271,13 +274,12 @@ def beam_splitter_fock(
     _check_mode(state, j)
     if i == j:
         raise ValueError("the two modes must be distinct")
-    if abs(tau * tau + rho * rho - 1.0) > 1e-10:
-        raise ValueError("beam splitter requires tau^2 + rho^2 = 1")
-    d = state.cutoff
-    u = _beam_splitter_unitary(d, float(np.arctan2(rho, tau)))
+    if not abs(tau * tau + rho * rho - 1.0) <= 1e-10:  # NaN fails too
+        raise ValueError(f"beam splitter requires tau^2 + rho^2 = 1, got tau={tau}, rho={rho}")
     amps = np.moveaxis(np.asarray(state.amps), (i, j), (0, 1))
-    rest = amps.shape[2:]
-    out = (u @ amps.reshape(d * d, -1)).reshape((d, d) + rest)
+    out = np.empty_like(amps)
+    for na, nb, block in _beam_splitter_blocks(state.cutoff, float(np.arctan2(rho, tau))):
+        out[na, nb] = block @ amps[na, nb]
     out = np.moveaxis(out, (0, 1), (i, j))
     return FockState(amps=out, norm_leak=state.norm_leak)
 
@@ -297,12 +299,11 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     Exactly unitary on the retained space for any cutoff.
     """
     alpha = complex(alpha)
-    mag, phase = abs(alpha), np.angle(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError(f"displacement alpha must be finite, got {alpha}")
     vals, vecs = _displacement_eig(cutoff)
-    radial = (vecs * np.exp(-1j * mag * vals)) @ vecs.conj().T
-    if phase == 0.0:
-        return radial
-    rot = np.exp(1j * phase * np.arange(cutoff))
+    radial = (vecs * np.exp(-1j * abs(alpha) * vals)) @ vecs.conj().T
+    rot = np.exp(1j * np.angle(alpha) * np.arange(cutoff))
     return radial * rot[:, None] * rot.conj()[None, :]
 
 
@@ -328,15 +329,17 @@ def displace_fock(state: FockState, mode: int, alpha: complex) -> FockState:
     return FockState(amps=out, norm_leak=state.norm_leak)
 
 
+def _padded(state: FockState, cutoff: int) -> np.ndarray:
+    out = np.zeros((cutoff,) * state.n_modes, dtype=complex)
+    out[tuple(slice(0, s) for s in state.amps.shape)] = state.amps
+    return out
+
+
 def _padded_pair(a: FockState, b: FockState) -> tuple[np.ndarray, np.ndarray]:
     if a.n_modes != b.n_modes:
         raise ValueError("states have different mode counts")
     d = max(a.cutoff, b.cutoff)
-    pad_a = np.zeros((d,) * a.n_modes, dtype=complex)
-    pad_b = np.zeros((d,) * b.n_modes, dtype=complex)
-    pad_a[tuple(slice(0, s) for s in a.amps.shape)] = a.amps
-    pad_b[tuple(slice(0, s) for s in b.amps.shape)] = b.amps
-    return pad_a, pad_b
+    return _padded(a, d), _padded(b, d)
 
 
 def fidelity(a: FockState, b: FockState) -> float:
@@ -360,11 +363,7 @@ def tensor(a: FockState, b: FockState) -> FockState:
     if a.n_modes + b.n_modes > MAX_MODES:
         raise ValueError(f"product would exceed {MAX_MODES} modes")
     d = max(a.cutoff, b.cutoff)
-    pa = np.zeros((d,) * a.n_modes, dtype=complex)
-    pb = np.zeros((d,) * b.n_modes, dtype=complex)
-    pa[tuple(slice(0, s) for s in a.amps.shape)] = a.amps
-    pb[tuple(slice(0, s) for s in b.amps.shape)] = b.amps
-    joint = np.tensordot(pa, pb, axes=0)
+    joint = np.tensordot(_padded(a, d), _padded(b, d), axes=0)
     return FockState(amps=joint, norm_leak=max(a.norm_leak, b.norm_leak))
 
 
@@ -494,21 +493,21 @@ def wigner_fock(state: FockState, grid, mode: int = 0) -> np.ndarray:
 
     grid is an (M, 2) array of (x, p) points. The requested mode must be a
     product factor of the state (for multimode inputs). The vacuum peaks
-    at 1/pi and the single photon reaches -1/pi at the origin.
+    at 1/pi and the single photon reaches -1/pi at the origin. The
+    displacement is the truncated ``displacement_matrix``, which is not exact
+    far from the origin: for coherent states with |alpha| <= 1.5, cutoff 32
+    on |x|, |p| <= 3 is off by up to 5% of the peak, cutoff 40 on
+    |x|, |p| <= 2 by about 2.5e-9.
     """
     _check_mode(state, mode)
     psi = _pure_mode_vector(state, mode)
-    d = psi.size
     points = np.atleast_2d(np.asarray(grid, dtype=float))
     if points.shape[1] != 2:
         raise ValueError("grid points must be (x, p) pairs")
-    signs = (-1.0) ** np.arange(d)
-    out = np.empty(points.shape[0])
-    for k, (x, p) in enumerate(points):
-        gamma = (x + 1j * p) / np.sqrt(2.0)
-        if gamma == 0:
-            shifted = psi
-        else:
-            shifted = displacement_matrix(-gamma, d) @ psi
-        out[k] = np.sum(signs * np.abs(shifted) ** 2) / np.pi
-    return out
+    # D(-gamma) = R V exp(-i|gamma| lam) V^H R^*, R = diag(e^{i n arg(-gamma)}); |R .| = |.|
+    vals, vecs = _displacement_eig(psi.size)
+    neg = -(points[:, 0] + 1j * points[:, 1]) / np.sqrt(2.0)
+    n = np.arange(psi.size)
+    inner = (np.exp(-1j * np.angle(neg)[:, None] * n) * psi) @ vecs.conj()
+    shifted = (np.exp(-1j * np.abs(neg)[:, None] * vals) * inner) @ vecs.T
+    return np.abs(shifted) ** 2 @ (-1.0) ** n / np.pi

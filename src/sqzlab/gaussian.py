@@ -148,7 +148,7 @@ class SymplecticOp:
         defect = matrix.T @ omega @ matrix - omega
         # rounding in S^T Omega S grows like eps * |S|^2, so scale the check
         scale = max(1.0, float(np.max(np.abs(matrix))))
-        if np.max(np.abs(defect)) / scale / scale > STRUCTURAL_TOL:
+        if not np.max(np.abs(defect)) / scale / scale <= STRUCTURAL_TOL:  # NaN fails too
             raise ValueError("matrix is not symplectic (S^T Omega S != Omega)")
         object.__setattr__(self, "matrix", matrix)
 
@@ -224,8 +224,8 @@ def beam_splitter_op(
 
     Both X and P pairs mix with the same real (tau, rho); no extra phases.
     """
-    if abs(tau * tau + rho * rho - 1.0) > STRUCTURAL_TOL:
-        raise ValueError("beam splitter requires tau^2 + rho^2 = 1")
+    if not abs(tau * tau + rho * rho - 1.0) <= STRUCTURAL_TOL:  # NaN fails too
+        raise ValueError(f"beam splitter requires tau^2 + rho^2 = 1, got tau={tau}, rho={rho}")
     i, j = modes
     t = tau * np.eye(2)
     return SymplecticOp(

@@ -152,6 +152,13 @@ class TestSuggestCutoff:
             state = build(value, d)
             assert state.norm_leak < 1e-6
 
+    @pytest.mark.parametrize("r", [0.3, 0.6, 0.9])
+    def test_squeezed_is_smallest(self, r):
+        # |2m> carries weight tanh^2m(r) (2m)! / (4^m m!^2 cosh r)
+        d = suggest_cutoff("squeezed", r, tail_mass=1e-8)
+        assert squeezed_vacuum_fock(r, d).norm_leak <= 1e-8
+        assert squeezed_vacuum_fock(r, d - 1).norm_leak > 1e-8
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             suggest_cutoff("thermal", 1.0)

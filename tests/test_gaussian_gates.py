@@ -71,6 +71,24 @@ def test_gate_rejects_non_finite_parameter(gate, value):
         GATES[gate](vacuum(2), value)
 
 
+BUILDERS = {
+    "rotation_op": lambda v: rotation_op(2, 0, v),
+    "squeeze_op-r": lambda v: squeeze_op(2, 0, v),
+    "squeeze_op-phi": lambda v: squeeze_op(2, 0, 0.3, v),
+    "two_mode_squeeze_op": lambda v: two_mode_squeeze_op(2, (0, 1), v),
+    "beam_splitter_op-tau": lambda v: beam_splitter_op(2, (0, 1), v, 0.0),
+    "beam_splitter_op-rho": lambda v: beam_splitter_op(2, (0, 1), 1.0, v),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_builder_rejects_non_finite_parameter(builder, value):
+    with pytest.raises(ValueError):
+        BUILDERS[builder](value)
+
+
 def test_squeeze_overflow_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         squeeze(vacuum(1), 0, 400.0)
