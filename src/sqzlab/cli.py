@@ -1,19 +1,22 @@
 """Command-line entry point: `sqz run | validate | list`.
 
-Exit codes: 0 success, 2 unknown scenario (or usage error), 3 schema
-violation, 4 file-system failure.
+Exit codes: 0 success, 2 unknown scenario (or usage error), 3 rejected
+input: a schema violation (floats must be finite, ints integral, the seed
+a non-negative integer) or a parameter the physics rejects, 4 file-system
+failure. Every error is one line on stderr. A failed run removes only
+the directories it created.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .scenarios import (
     CATALOG,
     ScenarioConfig,
-    SchemaError,
     UnknownScenarioError,
     load_config,
     run_scenario,
@@ -66,43 +69,20 @@ def _cmd_list() -> int:
     return EXIT_OK
 
 
-def _cmd_validate(path: str) -> int:
-    try:
-        config = load_config(path)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (SchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+def _cmd_validate(config: ScenarioConfig) -> int:
     report = validate_config(config)
     print(report.describe())
-    if not report.ok:
-        if any("unknown scenario" in e for e in report.errors):
-            return EXIT_UNKNOWN_SCENARIO
-        return EXIT_SCHEMA
-    return EXIT_OK
+    if report.ok:
+        return EXIT_OK
+    return EXIT_SCHEMA if config.scenario in CATALOG else EXIT_UNKNOWN_SCENARIO
 
 
 def _cmd_run(args) -> int:
     target = args.target
     if target.endswith(".json") or Path(target).is_file():
-        try:
-            config = load_config(target)
-        except OSError as exc:
-            print(f"error: cannot read {target}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except (SchemaError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
+        config = load_config(target)
         if args.out is not None:
-            config = ScenarioConfig(
-                scenario=config.scenario,
-                params=config.params,
-                seed=config.seed,
-                output_dir=args.out,
-                format=config.format,
-            )
+            config = dataclasses.replace(config, output_dir=args.out)
     else:
         config = ScenarioConfig(
             scenario=target,
@@ -111,18 +91,7 @@ def _cmd_run(args) -> int:
             output_dir=args.out,
             format=args.format,
         )
-    try:
-        manifest = run_scenario(config)
-    except UnknownScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("run `sqz list` to see the catalog", file=sys.stderr)
-        return EXIT_UNKNOWN_SCENARIO
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    manifest = run_scenario(config)
     print(f"wrote {manifest.parent}/ (manifest: {manifest.name})")
     return EXIT_OK
 
@@ -131,9 +100,20 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
-    if args.command == "validate":
-        return _cmd_validate(args.config)
-    return _cmd_run(args)
+    try:
+        if args.command == "validate":
+            return _cmd_validate(load_config(args.config))
+        return _cmd_run(args)
+    except UnknownScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print("run `sqz list` to see the catalog", file=sys.stderr)
+        return EXIT_UNKNOWN_SCENARIO
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

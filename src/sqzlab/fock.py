@@ -20,8 +20,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
+from .gaussian import _phase_space_points
+
 MAX_MODES = 3
 MAX_CUTOFF = 64
+
+# wigner_fock evaluates this many grid points per pass, which bounds its
+# working memory to a few _WIGNER_CHUNK x cutoff complex arrays.
+_WIGNER_CHUNK = 4096
 
 #: Constructors warn when the truncated analytic family loses more weight
 #: than this.
@@ -501,13 +507,15 @@ def wigner_fock(state: FockState, grid, mode: int = 0) -> np.ndarray:
     """
     _check_mode(state, mode)
     psi = _pure_mode_vector(state, mode)
-    points = np.atleast_2d(np.asarray(grid, dtype=float))
-    if points.shape[1] != 2:
-        raise ValueError("grid points must be (x, p) pairs")
+    points = _phase_space_points(grid, 2)
     # D(-gamma) = R V exp(-i|gamma| lam) V^H R^*, R = diag(e^{i n arg(-gamma)}); |R .| = |.|
     vals, vecs = _displacement_eig(psi.size)
-    neg = -(points[:, 0] + 1j * points[:, 1]) / np.sqrt(2.0)
     n = np.arange(psi.size)
-    inner = (np.exp(-1j * np.angle(neg)[:, None] * n) * psi) @ vecs.conj()
-    shifted = (np.exp(-1j * np.abs(neg)[:, None] * vals) * inner) @ vecs.T
-    return np.abs(shifted) ** 2 @ (-1.0) ** n / np.pi
+    out = np.empty(len(points))
+    for start in range(0, len(points), _WIGNER_CHUNK):
+        chunk = points[start : start + _WIGNER_CHUNK]
+        neg = -(chunk[:, 0] + 1j * chunk[:, 1]) / np.sqrt(2.0)
+        inner = (np.exp(-1j * np.angle(neg)[:, None] * n) * psi) @ vecs.conj()
+        shifted = (np.exp(-1j * np.abs(neg)[:, None] * vals) * inner) @ vecs.T
+        out[start : start + _WIGNER_CHUNK] = np.abs(shifted) ** 2 @ (-1.0) ** n / np.pi
+    return out

@@ -364,6 +364,16 @@ def infer_effective_loss(v_min: float, v_max: float) -> tuple[float, float]:
     return float(t), float(r)
 
 
+def _phase_space_points(grid, dim: int) -> np.ndarray:
+    """grid as an (M, dim) float array; raises ValueError unless every point is finite."""
+    points = np.atleast_2d(np.asarray(grid, dtype=float))
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(f"grid points must have dimension {dim}, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("grid points must be finite")
+    return points
+
+
 def wigner_gaussian(state: GaussianState, grid) -> np.ndarray:
     """Wigner function of a Gaussian state on the given phase-space points.
 
@@ -371,10 +381,7 @@ def wigner_gaussian(state: GaussianState, grid) -> np.ndarray:
     result integrates to 1 over phase space (single-mode vacuum peaks at
     1/pi).
     """
-    points = np.atleast_2d(np.asarray(grid, dtype=float))
-    n2 = 2 * state.n_modes
-    if points.shape[1] != n2:
-        raise ValueError(f"grid points must have dimension {n2}")
+    points = _phase_space_points(grid, 2 * state.n_modes)
     det = np.linalg.det(state.cov)
     if det <= 0 or np.linalg.cond(state.cov) > 1e14:
         raise ValueError("singular covariance matrix")

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.signal import lfilter, welch
 
 from .fock import FockState
-from .gaussian import GaussianState, quadrature_mean, quadrature_variance
+from .gaussian import GaussianState, _phase_space_points, quadrature_mean, quadrature_variance
 
 SQL_VARIANCE = 0.5
 
@@ -351,6 +351,8 @@ def sideband_quadratures(trace: PhotocurrentTrace, freq_hz: float) -> tuple[floa
 
 def wigner_grid(extent: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Square (x, p) grid: returns (points (n*n, 2), x axis, p axis)."""
+    if not (np.isfinite(extent) and extent > 0):
+        raise ValueError(f"grid extent must be finite and positive, got {extent}")
     axis = np.linspace(-extent, extent, n)
     xx, pp = np.meshgrid(axis, axis, indexing="ij")
     return np.column_stack([xx.ravel(), pp.ravel()]), axis, axis
@@ -434,9 +436,7 @@ def reconstruct_wigner(
     is O(phases * (B log B + M) + samples) for B bins and M points, and
     the working memory O(B + M), where B = 20 kc * (span of samples and s).
     """
-    points = np.atleast_2d(np.asarray(grid, dtype=float))
-    if points.shape[1] != 2:
-        raise ValueError("grid points must be (x, p) pairs")
+    points = _phase_space_points(grid, 2)
     groups = _phase_groups(dataset)
     keys = np.round(np.mod([t for t, _ in groups], np.pi), 9)
     distinct = np.unique(keys).size

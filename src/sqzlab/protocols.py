@@ -17,6 +17,7 @@ from . import fock
 from .fock import FockState
 from .gaussian import (
     GaussianState,
+    _phase_space_points,
     beam_splitter,
     loss_channel,
     quadrature_variance,
@@ -100,9 +101,7 @@ def teleport_wigner_check(
     discrepancy from teleport_gaussian's closed form on the given (x, p)
     grid points.
     """
-    points = np.atleast_2d(np.asarray(grid, dtype=float))
-    if points.shape[1] != 2:
-        raise ValueError("grid points must be (x, p) pairs")
+    points = _phase_space_points(grid, 2)
     closed = teleport_gaussian(input_state, r_resource, gain=1.0)
     sig_out = closed.output_state.cov
     min_width = np.sqrt(np.min(np.linalg.eigvalsh(sig_out)))

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
+import shutil
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,33 +54,9 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     description: str
     params: dict
     runner: object  # callable(params, seed, outdir, fmt) -> list[Path]
-
-
-def _coerce(scenario: Scenario, raw: dict) -> dict:
-    """Validate and type-coerce raw params against the scenario schema."""
-    out = {}
-    problems = []
-    for name, spec in scenario.params.items():
-        if name in raw:
-            try:
-                out[name] = spec.kind(raw[name])
-            except (TypeError, ValueError):
-                problems.append(f"param {name!r}: cannot convert {raw[name]!r} to {spec.kind.__name__}")
-        elif spec.required:
-            problems.append(f"missing required param {name!r}")
-        else:
-            out[name] = spec.default
-    if problems:
-        raise SchemaError("; ".join(problems))
-    return out
-
-
-def _unknown_keys(scenario: Scenario, raw: dict) -> list[str]:
-    return sorted(set(raw) - set(scenario.params))
 
 
 def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> Path:
@@ -110,7 +89,7 @@ def _write_json(path: Path, payload: dict) -> Path:
 def _run_loss_sweep(p, seed, outdir, fmt):
     sq = squeeze(vacuum(1), 0, p["r"])
     rows = []
-    for t in np.linspace(p["t_start"], p["t_stop"], int(p["t_steps"])):
+    for t in np.linspace(p["t_start"], p["t_stop"], p["t_steps"]):
         out = loss_channel(sq, 0, float(t))
         var = quadrature_variance(out, 0, 0.0)
         rows.append([float(t), var, squeezing_db(var)])
@@ -119,7 +98,7 @@ def _run_loss_sweep(p, seed, outdir, fmt):
 
 def _run_opa_spectrum(p, seed, outdir, fmt):
     opa = devices.OpaConfig(gamma=p["gamma_hz"], eta=p["eta"], pump_ratio=p["pump_ratio"])
-    freqs = np.linspace(p["nu_min_hz"], p["nu_max_hz"], int(p["n_points"]))
+    freqs = np.linspace(p["nu_min_hz"], p["nu_max_hz"], p["n_points"])
     spec = devices.opa_spectrum(opa, freqs)
     rows = [[float(f), float(vp), float(vm)] for f, vp, vm in zip(spec.freqs, spec.v_plus, spec.v_minus)]
     return [_write_table(outdir / "opa_spectrum", ["freq_hz", "v_plus", "v_minus"], rows, fmt)]
@@ -179,19 +158,13 @@ def _tomography_state(p):
 
 def _run_tomography_demo(p, seed, outdir, fmt):
     state = _tomography_state(p)
-    thetas = np.linspace(0.0, np.pi, int(p["n_phases"]), endpoint=False)
-    data = homodyne.sample_quadratures(state, 0, thetas, int(p["n_per_phase"]), seed=seed)
-    points, _, _ = homodyne.wigner_grid(p["grid_extent"], int(p["grid_n"]))
+    thetas = np.linspace(0.0, np.pi, p["n_phases"], endpoint=False)
+    data = homodyne.sample_quadratures(state, 0, thetas, p["n_per_phase"], seed=seed)
+    points, _, _ = homodyne.wigner_grid(p["grid_extent"], p["grid_n"])
     cutoff = p["filter_cutoff"] if p["filter_cutoff"] > 0 else None
     w = homodyne.reconstruct_wigner(data, points, filter_cutoff=cutoff)
     v_min, v_max, phi_min = homodyne.variance_profile(data)
-    files = []
-    dataset_path = outdir / "dataset.csv"
-    homodyne.save_dataset_csv(data, dataset_path)
-    files.append(dataset_path)
-    wigner_path = outdir / "wigner.csv"
-    homodyne.save_wigner_csv(points, w, wigner_path)
-    files.append(wigner_path)
+    # every check runs before the first write, so a rejected surface writes nothing
     rows = [
         ["profile_v_min", v_min],
         ["profile_v_max", v_max],
@@ -200,8 +173,10 @@ def _run_tomography_demo(p, seed, outdir, fmt):
         ["w_peak", float(np.max(w))],
         ["w_min", float(np.min(w))],
     ]
-    files.append(_write_table(outdir / "summary", ["quantity", "value"], rows, fmt))
-    return files
+    dataset_path, wigner_path = outdir / "dataset.csv", outdir / "wigner.csv"
+    homodyne.save_dataset_csv(data, dataset_path)
+    homodyne.save_wigner_csv(points, w, wigner_path)
+    return [dataset_path, wigner_path, _write_table(outdir / "summary", ["quantity", "value"], rows, fmt)]
 
 
 def _run_spectrum_drift_demo(p, seed, outdir, fmt):
@@ -214,7 +189,7 @@ def _run_spectrum_drift_demo(p, seed, outdir, fmt):
         seed=seed,
         electronic_noise_variance=p["electronic_noise_variance"],
     )
-    spec = homodyne.spectrum(trace, n_segments=int(p["n_segments"]))
+    spec = homodyne.spectrum(trace, n_segments=p["n_segments"])
     files = []
     rows = [[float(f), float(v)] for f, v in zip(spec.freqs, spec.power)]
     files.append(_write_table(outdir / "spectrum", ["freq_hz", "power"], rows, fmt))
@@ -230,7 +205,7 @@ def _run_spectrum_drift_demo(p, seed, outdir, fmt):
 
 def _run_teleport_sweep(p, seed, outdir, fmt):
     rows = []
-    for r in np.linspace(p["r_min"], p["r_max"], int(p["n_steps"])):
+    for r in np.linspace(p["r_min"], p["r_max"], p["n_steps"]):
         result = protocols.teleport_gaussian(vacuum(1), float(r), gain=p["gain"])
         rows.append([float(r), result.coherent_fidelity, result.added_noise_per_quadrature])
     return [_write_table(outdir / "teleport_sweep", ["r", "fidelity", "added_noise"], rows, fmt)]
@@ -238,75 +213,57 @@ def _run_teleport_sweep(p, seed, outdir, fmt):
 
 def _run_gw_snr_sweep(p, seed, outdir, fmt):
     rows = []
-    for r in np.linspace(p["r_min"], p["r_max"], int(p["n_r"])):
-        for eta in np.linspace(p["eta_min"], p["eta_max"], int(p["n_eta"])):
+    for r in np.linspace(p["r_min"], p["r_max"], p["n_r"]):
+        for eta in np.linspace(p["eta_min"], p["eta_max"], p["n_eta"]):
             est = protocols.gw_phase_readout(p["phi"], p["alpha"], float(r), float(eta))
             rows.append([float(r), float(eta), est.snr, est.phi_min_detectable])
     return [_write_table(outdir / "gw_snr_sweep", ["r", "eta", "snr", "phi_min"], rows, fmt)]
 
 
-def _engineering_outputs(outdir, fmt, state, provenance, table_rows):
+def _engineering_outputs(pipeline, p, seed, outdir, fmt, state, table_rows):
     files = [_write_json(outdir / "state.json", state.to_json())]
-    files.append(_write_json(outdir / "provenance.json", provenance))
+    files.append(_write_json(outdir / "provenance.json", {"pipeline": pipeline, "params": p, "seed": seed}))
     files.append(_write_table(outdir / "result", ["quantity", "value"], table_rows, fmt))
     return files
 
 
 def _run_herald_photon(p, seed, outdir, fmt):
-    state, prob = protocols.make_heralded_photon(p["r"], int(p["cutoff"]))
-    one = np.zeros(int(p["cutoff"]))
+    state, prob = protocols.make_heralded_photon(p["r"], p["cutoff"])
+    one = np.zeros(p["cutoff"])
     one[1] = 1.0
     fid = fock.fidelity(state, fock.from_amplitudes(one))
-    provenance = {"pipeline": "herald-photon", "params": {"r": p["r"], "cutoff": int(p["cutoff"])}, "seed": seed}
     rows = [["click_probability", float(prob)], ["fidelity_vs_single_photon", float(fid)]]
-    return _engineering_outputs(outdir, fmt, state, provenance, rows)
+    return _engineering_outputs("herald-photon", p, seed, outdir, fmt, state, rows)
 
 
 def _run_kitten(p, seed, outdir, fmt):
-    state, prob, fid = protocols.make_kitten(p["r"], int(p["cutoff"]), p["rho"])
-    provenance = {
-        "pipeline": "kitten",
-        "params": {"r": p["r"], "cutoff": int(p["cutoff"]), "rho": p["rho"]},
-        "seed": seed,
-    }
+    state, prob, fid = protocols.make_kitten(p["r"], p["cutoff"], p["rho"])
     rows = [["click_probability", float(prob)], ["fidelity_vs_odd_kitten", float(fid)]]
-    return _engineering_outputs(outdir, fmt, state, provenance, rows)
+    return _engineering_outputs("kitten", p, seed, outdir, fmt, state, rows)
 
 
 def _run_kitten_superposition(p, seed, outdir, fmt):
     alpha = complex(p["ancilla_re"], p["ancilla_im"])
     state = protocols.engineer_kitten_superposition(
-        p["r"], alpha, p["rho_tap"], p["rho_mix"], int(p["cutoff"])
+        p["r"], alpha, p["rho_tap"], p["rho_mix"], p["cutoff"]
     )
     amp = np.sqrt(p["r"])
-    even = fock.overlap(protocols.ideal_even_kitten(amp, int(p["cutoff"])), state)
-    odd = fock.overlap(protocols.ideal_odd_kitten(amp, int(p["cutoff"])), state)
-    provenance = {
-        "pipeline": "kitten-superposition",
-        "params": {
-            "r": p["r"],
-            "cutoff": int(p["cutoff"]),
-            "rho_tap": p["rho_tap"],
-            "rho_mix": p["rho_mix"],
-            "ancilla_re": p["ancilla_re"],
-            "ancilla_im": p["ancilla_im"],
-        },
-        "seed": seed,
-    }
+    even = fock.overlap(protocols.ideal_even_kitten(amp, p["cutoff"]), state)
+    odd = fock.overlap(protocols.ideal_odd_kitten(amp, p["cutoff"]), state)
     rows = [
         ["even_overlap_re", float(even.real)],
         ["even_overlap_im", float(even.imag)],
         ["odd_overlap_re", float(odd.real)],
         ["odd_overlap_im", float(odd.imag)],
     ]
-    return _engineering_outputs(outdir, fmt, state, provenance, rows)
+    return _engineering_outputs("kitten-superposition", p, seed, outdir, fmt, state, rows)
 
 
 CATALOG: dict[str, Scenario] = {}
 
 
 def _register(name, description, params, runner):
-    CATALOG[name] = Scenario(name=name, description=description, params=params, runner=runner)
+    CATALOG[name] = Scenario(description=description, params=params, runner=runner)
 
 
 _register(
@@ -453,8 +410,10 @@ def default_output_dir(scenario_name: str) -> Path:
 def load_config(path) -> ScenarioConfig:
     with open(path) as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict) or "scenario" not in raw:
-        raise SchemaError("config must be a JSON object with a 'scenario' key")
+    if not isinstance(raw, dict) or not isinstance(raw.get("scenario"), str):
+        raise SchemaError("config must be a JSON object with a 'scenario' string")
+    if not isinstance(raw.get("params", {}), dict) or not isinstance(raw.get("output_dir", ""), (str, type(None))):
+        raise SchemaError("config 'params' must be a JSON object and 'output_dir' a string")
     known = {"scenario", "params", "seed", "output_dir", "format"}
     extra = set(raw) - known
     if extra:
@@ -462,7 +421,7 @@ def load_config(path) -> ScenarioConfig:
     return ScenarioConfig(
         scenario=raw["scenario"],
         params=raw.get("params", {}),
-        seed=int(raw.get("seed", 0)),
+        seed=raw.get("seed", 0),
         output_dir=raw.get("output_dir"),
         format=raw.get("format", "csv"),
     )
@@ -484,21 +443,51 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _resolve(config: ScenarioConfig) -> tuple[Scenario, dict]:
+    """Decide whether a run may start: its scenario, format, seed and params.
+
+    Returns the scenario and its params typed by the schema, defaults filled
+    in. Floats must be finite, ints integral and the seed a non-negative
+    integer. Raises UnknownScenarioError or SchemaError and touches no file.
+    """
+    if config.scenario not in CATALOG:
+        raise UnknownScenarioError(f"unknown scenario {config.scenario!r}")
+    scenario = CATALOG[config.scenario]
+    problems = []
+    if config.format not in ("csv", "json"):
+        problems.append(f"format must be csv or json, got {config.format!r}")
+    if not isinstance(config.seed, numbers.Integral) or config.seed < 0:
+        problems.append(f"seed must be a non-negative integer, got {config.seed!r}")
+    params = {}
+    for name, spec in scenario.params.items():
+        if name not in config.params:
+            if spec.required:
+                problems.append(f"missing required param {name!r}")
+            params[name] = spec.default
+            continue
+        value = config.params[name]
+        try:
+            params[name] = spec.kind(value)
+        except (TypeError, ValueError, OverflowError):
+            problems.append(f"param {name!r}: cannot convert {value!r} to {spec.kind.__name__}")
+        else:
+            if spec.kind is float and not math.isfinite(params[name]):
+                problems.append(f"param {name!r}: {value!r} is not finite")
+            elif spec.kind is int and isinstance(value, float) and params[name] != value:
+                problems.append(f"param {name!r}: {value!r} is not an integer")
+    if problems:
+        raise SchemaError("; ".join(problems))
+    return scenario, params
+
+
 def validate_config(config: ScenarioConfig) -> ValidationReport:
     """Schema report for a config without running it."""
-    if config.scenario not in CATALOG:
-        return ValidationReport(False, [f"unknown scenario {config.scenario!r}"], [])
-    scenario = CATALOG[config.scenario]
-    errors, warns = [], []
-    if config.format not in ("csv", "json"):
-        errors.append(f"format must be csv or json, got {config.format!r}")
-    for key in _unknown_keys(scenario, config.params):
-        warns.append(f"unknown param {key!r} ignored")
     try:
-        _coerce(scenario, config.params)
-    except SchemaError as exc:
-        errors.append(str(exc))
-    return ValidationReport(not errors, errors, warns)
+        scenario, _ = _resolve(config)
+    except (UnknownScenarioError, SchemaError) as exc:
+        return ValidationReport(False, [str(exc)], [])
+    warns = [f"unknown param {key!r} ignored" for key in sorted(set(config.params) - set(scenario.params))]
+    return ValidationReport(True, [], warns)
 
 
 def _sha256(path: Path) -> str:
@@ -511,26 +500,30 @@ def run_scenario(config: ScenarioConfig) -> Path:
     """Run one scenario; returns the manifest path.
 
     Raises UnknownScenarioError / SchemaError before touching the file
-    system; OSError surfaces from actual I/O failures.
+    system. Any other error, such as a ValueError from the physics or an
+    OSError from I/O, propagates after removing the directories this run
+    created; a directory that existed before the run is left in place.
     """
-    if config.scenario not in CATALOG:
-        raise UnknownScenarioError(f"unknown scenario {config.scenario!r}")
-    scenario = CATALOG[config.scenario]
-    if config.format not in ("csv", "json"):
-        raise SchemaError(f"format must be csv or json, got {config.format!r}")
-    params = _coerce(scenario, config.params)
+    scenario, params = _resolve(config)
     outdir = Path(config.output_dir) if config.output_dir else default_output_dir(config.scenario)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = scenario.runner(params, config.seed, outdir, config.format)
-    manifest = {
-        "scenario": config.scenario,
-        "params": params,
-        "seed": config.seed,
-        "format": config.format,
-        "library_version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "outputs": {f.name: _sha256(f) for f in files},
-    }
-    manifest_path = outdir / "manifest.json"
-    _write_json(manifest_path, manifest)
+    # the topmost directory that this run creates, if any
+    created = next((d for d in reversed((outdir, *outdir.parents)) if not d.exists()), None)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        files = scenario.runner(params, config.seed, outdir, config.format)
+        manifest = {
+            "scenario": config.scenario,
+            "params": params,
+            "seed": config.seed,
+            "format": config.format,
+            "library_version": __version__,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "outputs": {f.name: _sha256(f) for f in files},
+        }
+        manifest_path = outdir / "manifest.json"
+        _write_json(manifest_path, manifest)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     return manifest_path

@@ -118,6 +118,13 @@ def test_wigner_matches_looped_reference(name):
     assert np.max(np.abs(w - looped_wigner(state, WIGNER_POINTS, mode))) <= 1e-12
 
 
+def test_wigner_over_several_chunks_matches_looped_reference():
+    grid = wigner_grid(3.0, 67)[0]
+    assert len(grid) > fock._WIGNER_CHUNK
+    state = make_kitten(0.4, 24, 0.07)[0]
+    assert np.max(np.abs(wigner_fock(state, grid) - looped_wigner(state, grid))) <= 1e-12
+
+
 # -- cutoff 64, the documented limit ----------------------------------------------
 
 
@@ -139,6 +146,13 @@ def test_cutoff_64_kitten_and_wigner_budget():
     grid = wigner_grid(3.0, 41)[0]
     wall, peak = _cost(lambda: wigner_fock(make_kitten(0.8, 64, 0.0437)[0], grid))
     assert wall < 2.0 and peak < 64 * 2**20, (wall, peak)
+
+
+def test_cutoff_64_wigner_memory_is_bounded_on_a_large_grid():
+    state = coherent_fock(0.8 - 0.3j, 64)
+    grid = wigner_grid(3.0, 201)[0]
+    wall, peak = _cost(lambda: wigner_fock(state, grid))
+    assert peak < 32 * 2**20, (wall, peak)
 
 
 def test_cutoff_64_superposition_budget():

@@ -26,6 +26,7 @@ from sqzlab.homodyne import (
     wigner_axis_ratio,
     wigner_grid,
 )
+from sqzlab.protocols import teleport_wigner_check
 
 TEN_DB_R = math.log(10.0) / 2.0
 
@@ -528,3 +529,35 @@ class TestCsvWriters:
             path = tmp_path / f"{i}.csv"
             save(*args, path)
             assert path.read_bytes() == expected
+
+
+# -- one grid check for every phase-space evaluator ------------------------------
+
+_VACUUM_DATA = sample_quadratures(vacuum(1), 0, np.linspace(0, math.pi, 12, endpoint=False), 50, seed=3)
+EVALUATORS = {
+    "wigner_fock": lambda grid: fock.wigner_fock(fock.from_amplitudes(np.eye(4)[0]), grid),
+    "wigner_gaussian": lambda grid: wigner_gaussian(vacuum(1), grid),
+    "reconstruct_wigner": lambda grid: reconstruct_wigner(_VACUUM_DATA, grid),
+    "teleport_wigner_check": lambda grid: teleport_wigner_check(vacuum(1), 0.5, grid),
+}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        pytest.param([[math.nan, 0.0]], "finite", id="nan"),
+        pytest.param([[0.0, 0.0], [0.5, -math.inf]], "finite", id="inf"),
+        pytest.param([[0.0, 0.0, 0.0]], "dimension 2", id="3-vector"),
+        pytest.param([[[0.0, 0.0]], [[1.0, 1.0]]], "dimension 2", id="3-d-array"),
+    ],
+)
+def test_evaluators_reject_bad_grid_points(name, grid, message):
+    with pytest.raises(ValueError, match=message):
+        EVALUATORS[name](grid)
+
+
+@pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0, -2.0])
+def test_wigner_grid_rejects_bad_extent(extent):
+    with pytest.raises(ValueError, match="extent must be finite and positive"):
+        wigner_grid(extent, 3)
