@@ -14,7 +14,7 @@ import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.constants import epsilon_0 as VACUUM_PERMITTIVITY
 
-from .gaussian import GaussianState, PHYSICS_TOL
+from .gaussian import GaussianState
 from .homodyne import NoiseSpectrum
 
 
@@ -163,8 +163,7 @@ def opa_spectrum(opa: OpaConfig, freqs) -> NoiseSpectrum:
     v_minus = (nu_norm_sq + one_minus_root**2 + 4.0 * (1.0 - opa.eta) * root) / (
         2.0 * (nu_norm_sq + (1.0 + root) ** 2)
     )
-    meta = {"gamma": opa.gamma, "eta": opa.eta, "pump_ratio": opa.pump_ratio}
-    return NoiseSpectrum(freqs=freqs, v_plus=v_plus, v_minus=v_minus, meta=meta)
+    return NoiseSpectrum(freqs=freqs, v_plus=v_plus, v_minus=v_minus)
 
 
 def effective_gaussian_state(opa: OpaConfig, nu: float) -> GaussianState:
@@ -179,10 +178,6 @@ def effective_gaussian_state(opa: OpaConfig, nu: float) -> GaussianState:
     spec = opa_spectrum(opa, [abs(nu)])
     v_minus = float(spec.v_minus[0])
     v_plus = float(spec.v_plus[0])
-    if v_minus * v_plus < 0.25 - PHYSICS_TOL:
-        raise ValueError(
-            f"V+ V- = {v_minus * v_plus:.6g} < 1/4 violates the uncertainty principle"
-        )
     if v_minus < 1e-9:
         warnings.warn(
             f"near-singular squeezed variance V- = {v_minus:.3g}",

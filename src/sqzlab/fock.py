@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .gaussian import _phase_space_points
+from .gaussian import _check_modes, _phase_space_points, _readonly
 
 MAX_MODES = 3
 MAX_CUTOFF = 64
@@ -44,12 +44,6 @@ class ZeroStateError(ValueError):
     """A conditional operation produced the zero vector (probability 0)."""
 
 
-def _readonly_complex(a) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class FockState:
     """A pure state in the truncated photon-number basis.
@@ -68,7 +62,7 @@ class FockState:
     norm_leak: float = 0.0
 
     def __post_init__(self):
-        amps = _readonly_complex(self.amps)
+        amps = _readonly(self.amps, complex)
         if amps.ndim < 1 or amps.ndim > MAX_MODES:
             raise ValueError(f"n_modes must be between 1 and {MAX_MODES}")
         d = amps.shape[0]
@@ -112,15 +106,13 @@ class FockState:
         return cls(amps=flat.reshape((d,) * n))
 
 
-def from_amplitudes(amps, normalize: bool = True) -> FockState:
-    """Build a state from explicit amplitudes, normalizing by default."""
+def from_amplitudes(amps) -> FockState:
+    """Build a state from explicit amplitudes, normalized."""
     amps = np.asarray(amps, dtype=complex)
-    if normalize:
-        norm = np.linalg.norm(amps.ravel())
-        if norm == 0.0:
-            raise ZeroStateError("cannot normalize the zero vector")
-        amps = amps / norm
-    return FockState(amps=amps)
+    norm = np.linalg.norm(amps.ravel())
+    if norm == 0.0:
+        raise ZeroStateError("cannot normalize the zero vector")
+    return FockState(amps=amps / norm)
 
 
 def _finalize_family(raw: np.ndarray, label: str) -> FockState:
@@ -234,11 +226,6 @@ def _apply_single_mode(amps: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarr
     return np.moveaxis(out, 0, axis)
 
 
-def _check_mode(state: FockState, mode: int):
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode {mode} out of range for {state.n_modes}-mode state")
-
-
 def apply_annihilation(state: FockState, mode: int) -> tuple[FockState, float]:
     """Apply the annihilation operator to one mode.
 
@@ -246,7 +233,7 @@ def apply_annihilation(state: FockState, mode: int) -> tuple[FockState, float]:
     un-normalized vector a|psi> (the success weight of the subtraction).
     Raises ZeroStateError if the input has no photons in that mode.
     """
-    _check_mode(state, mode)
+    _check_modes(state, mode)
     new = _apply_single_mode(np.asarray(state.amps), annihilation_matrix(state.cutoff), mode)
     weight = float(np.vdot(new, new).real)
     if weight <= 1e-300:
@@ -276,10 +263,7 @@ def beam_splitter_fock(
 ) -> FockState:
     """Beam splitter on a pair of modes: a' = tau a - rho b, b' = tau b + rho a."""
     i, j = modes
-    _check_mode(state, i)
-    _check_mode(state, j)
-    if i == j:
-        raise ValueError("the two modes must be distinct")
+    _check_modes(state, i, j)
     if not abs(tau * tau + rho * rho - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"beam splitter requires tau^2 + rho^2 = 1, got tau={tau}, rho={rho}")
     amps = np.moveaxis(np.asarray(state.amps), (i, j), (0, 1))
@@ -319,7 +303,7 @@ def displace_fock(state: FockState, mode: int, alpha: complex) -> FockState:
     Warns when the displaced state piles weight onto the top Fock level,
     a sign the cutoff is too small for this amplitude.
     """
-    _check_mode(state, mode)
+    _check_modes(state, mode)
     out = _apply_single_mode(
         np.asarray(state.amps), displacement_matrix(alpha, state.cutoff), mode
     )
@@ -375,7 +359,7 @@ def tensor(a: FockState, b: FockState) -> FockState:
 
 def branch_probabilities(state: FockState, mode: int) -> np.ndarray:
     """Probability of finding n photons in one mode, for n = 0..d-1."""
-    _check_mode(state, mode)
+    _check_modes(state, mode)
     amps = np.moveaxis(np.asarray(state.amps), mode, 0)
     flat = amps.reshape(state.cutoff, -1)
     return np.einsum("nk,nk->n", flat, flat.conj()).real
@@ -387,7 +371,7 @@ def project_number(state: FockState, mode: int, n: int) -> tuple[FockState, floa
     Returns the renormalized remaining state (that mode removed) and the
     outcome probability.
     """
-    _check_mode(state, mode)
+    _check_modes(state, mode)
     if state.n_modes == 1:
         raise ValueError("cannot project away the only mode")
     if not 0 <= n < state.cutoff:
@@ -438,7 +422,7 @@ def reduce_to_dominant_branch(state: FockState, mode: int) -> FockState:
 
 def reduced_density_matrix(state: FockState, mode: int) -> np.ndarray:
     """Single-mode reduced density matrix (d x d), trace-normalized."""
-    _check_mode(state, mode)
+    _check_modes(state, mode)
     amps = np.moveaxis(np.asarray(state.amps), mode, 0).reshape(state.cutoff, -1)
     rho = amps @ amps.conj().T
     return rho / np.trace(rho).real
@@ -505,7 +489,7 @@ def wigner_fock(state: FockState, grid, mode: int = 0) -> np.ndarray:
     on |x|, |p| <= 3 is off by up to 5% of the peak, cutoff 40 on
     |x|, |p| <= 2 by about 2.5e-9.
     """
-    _check_mode(state, mode)
+    _check_modes(state, mode)
     psi = _pure_mode_vector(state, mode)
     points = _phase_space_points(grid, 2)
     # D(-gamma) = R V exp(-i|gamma| lam) V^H R^*, R = diag(e^{i n arg(-gamma)}); |R .| = |.|

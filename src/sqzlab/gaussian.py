@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Structural checks (symplecticity, symmetry) use 1e-10 relative;
-# physics inequalities (uncertainty principle) use 1e-9 absolute.
+# Symplecticity and symmetry checks use 1e-10 and 1e-12 relative, and the
+# uncertainty test 1e-14 relative to max|cov| (see GaussianState); the scalar
+# inequalities of infer_effective_loss use 1e-9 absolute.
 STRUCTURAL_TOL = 1e-10
 PHYSICS_TOL = 1e-9
 
@@ -50,8 +51,8 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(eigs))[::2]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _readonly(a, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -61,10 +62,19 @@ class GaussianState:
     """An N-mode Gaussian state: quadrature mean vector and covariance matrix.
 
     The constructor is the trust boundary (caller arrays, ``from_json``,
-    ``dataclasses.replace``): it checks finiteness, symmetry and, in O(N^3),
-    the uncertainty principle. Gates skip that check, because an exact
-    symplectic or pure-loss map keeps a physical state physical; they check
-    only the rows they touch, for NaN, inf and overflow, in O(N).
+    ``dataclasses.replace``): it checks finiteness, symmetry and the
+    uncertainty principle cov + i Omega/2 >= 0 (Simon, Mukunda & Dutta,
+    Phys. Rev. A 49, 1567 (1994)) as one O(N^3) Hermitian eigen-solve. It
+    rejects a smallest eigenvalue below -1e-14 * max(1, max|cov|). That
+    bound accepts every state within rounding of a physical one, at any
+    squeezing, and rejects a symplectic eigenvalue short of 1/2 by a factor
+    (1 - 2 delta) for delta >= 1e-8 at r <= 3, delta >= 1e-6 at r = 5 and
+    delta = 1e-2 at r = 7 (two-mode squeezed vacuum). From r = 9 on, a 1%
+    deficit lies within the rounding of the entries, and is accepted.
+
+    Gates skip that check, because an exact symplectic or pure-loss map
+    keeps a physical state physical; they check only the rows they touch,
+    for NaN, inf and overflow, in O(N).
 
     Attributes
     ----------
@@ -89,11 +99,11 @@ class GaussianState:
         scale = max(1.0, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > 1e-12 * scale:
             raise ValueError("covariance matrix is not symmetric")
-        nus = symplectic_eigenvalues(np.asarray(cov))
-        if np.min(nus) < VACUUM_VARIANCE - PHYSICS_TOL:
+        lam = np.linalg.eigvalsh(cov + 0.5j * symplectic_form(mean.size // 2))[0]
+        if lam < -1e-14 * scale:
             raise ValueError(
                 "covariance violates the uncertainty principle "
-                f"(min symplectic eigenvalue {np.min(nus):.6g} < 1/2)"
+                f"(min eigenvalue of cov + i Omega/2 is {lam:.6g} < 0)"
             )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -165,9 +175,13 @@ def _embed(n_modes: int, blocks: dict[tuple[int, int], np.ndarray]) -> np.ndarra
     return s
 
 
-def _check_mode(state: GaussianState, mode: int):
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode {mode} out of range for {state.n_modes}-mode state")
+def _check_modes(state, *modes: int):
+    """Raise ValueError unless each mode indexes the state and none repeats."""
+    for mode in modes:
+        if not 0 <= mode < state.n_modes:
+            raise ValueError(f"mode {mode} out of range for {state.n_modes}-mode state")
+    if len(set(modes)) != len(modes):
+        raise ValueError("the two modes must be distinct")
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -240,10 +254,7 @@ def _act(state: GaussianState, modes, block, noise=0.0, shift=0.0) -> GaussianSt
     """Apply a gate to ``modes`` in O(N): on their quadratures only,
     mean -> block mean + shift and cov -> block cov block^T + noise * I.
     """
-    for mode in modes:
-        _check_mode(state, mode)
-    if len(set(modes)) != len(modes):
-        raise ValueError("the two modes must be distinct")
+    _check_modes(state, *modes)
     idx = np.array([q for mode in modes for q in (2 * mode, 2 * mode + 1)])
     mean, cov = state.mean.copy(), state.cov.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -303,7 +314,7 @@ def loss_channel(state: GaussianState, mode: int, transmissivity: float) -> Gaus
 
 def quadrature_variance(state: GaussianState, mode: int, theta: float) -> float:
     """Variance of the rotated quadrature X_theta = X cos(theta) + P sin(theta)."""
-    _check_mode(state, mode)
+    _check_modes(state, mode)
     c = np.zeros(2 * state.n_modes)
     c[2 * mode] = np.cos(theta)
     c[2 * mode + 1] = np.sin(theta)
@@ -312,7 +323,7 @@ def quadrature_variance(state: GaussianState, mode: int, theta: float) -> float:
 
 def quadrature_mean(state: GaussianState, mode: int, theta: float) -> float:
     """Mean of the rotated quadrature X_theta."""
-    _check_mode(state, mode)
+    _check_modes(state, mode)
     return float(
         state.mean[2 * mode] * np.cos(theta) + state.mean[2 * mode + 1] * np.sin(theta)
     )

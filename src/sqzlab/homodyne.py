@@ -10,23 +10,18 @@ X_theta = X cos(theta) + P sin(theta), and the standard quantum limit
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter, welch
 
 from .fock import FockState
-from .gaussian import GaussianState, _phase_space_points, quadrature_mean, quadrature_variance
+from .gaussian import GaussianState, _phase_space_points, _readonly
+from .gaussian import quadrature_mean, quadrature_variance
 
 SQL_VARIANCE = 0.5
 
 TWO_PI = 2.0 * np.pi
-
-
-def _readonly(a, dtype=float) -> np.ndarray:
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -35,8 +30,6 @@ class QuadratureDataset:
 
     thetas: np.ndarray
     xs: np.ndarray
-    source_meta: dict = field(default_factory=dict)
-    rng_seed: int = 0
 
     def __post_init__(self):
         thetas = _readonly(np.mod(self.thetas, TWO_PI))
@@ -50,11 +43,6 @@ class QuadratureDataset:
 
     def __len__(self) -> int:
         return self.xs.size
-
-    @property
-    def samples(self):
-        """Iterator over (theta, x) pairs."""
-        return zip(self.thetas, self.xs)
 
 
 def _save_csv(path, header: list[str], *columns):
@@ -166,14 +154,7 @@ def sample_quadratures(
             blocks.append(np.interp(rng.uniform(size=n_per_theta), cdf, grid))
     else:
         raise TypeError("state must be a GaussianState or FockState")
-    meta = {
-        "engine": type(state).__name__,
-        "mode": mode,
-        "n_per_theta": int(n_per_theta),
-    }
-    return QuadratureDataset(
-        thetas=all_thetas, xs=np.concatenate(blocks), source_meta=meta, rng_seed=seed
-    )
+    return QuadratureDataset(thetas=all_thetas, xs=np.concatenate(blocks))
 
 
 @dataclass(frozen=True)
@@ -182,7 +163,6 @@ class PhotocurrentTrace:
 
     dt: float
     values: np.ndarray
-    sql_variance: float = SQL_VARIANCE
 
     def __post_init__(self):
         values = _readonly(self.values)
@@ -195,10 +175,6 @@ class PhotocurrentTrace:
     @property
     def fs(self) -> float:
         return 1.0 / self.dt
-
-    @property
-    def duration(self) -> float:
-        return self.values.size * self.dt
 
 
 def matched_filter_quadrature(trace: PhotocurrentTrace, mode_fn) -> float:
@@ -289,7 +265,6 @@ class NoiseSpectrum:
     freqs: np.ndarray
     v_plus: np.ndarray
     v_minus: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         freqs = _readonly(self.freqs)
@@ -556,7 +531,13 @@ def wigner_axis_ratio(
     _, cov = moments_from_wigner(pts, weighted)
     eigs = np.sort(np.linalg.eigvalsh(cov))
     if eigs[0] <= 0:
-        raise ValueError("windowed moments not positive definite; surface too noisy")
+        # a grid coarser than the squeezed width cannot resolve it, however clean the samples
+        step = max(np.diff(np.unique(axis)).max(initial=0.0) for axis in np.asarray(points).T)
+        cause = "surface too noisy"
+        if 0.0 < v_min < step * step:
+            width = f"the squeezed width sqrt(v_min) = {np.sqrt(v_min):.3g}"
+            cause = f"grid step {step:.3g} is wider than {width}"
+        raise ValueError(f"windowed moments not positive definite; {cause}")
     return float(np.sqrt(eigs[1] / eigs[0]))
 
 

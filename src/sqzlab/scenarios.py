@@ -197,7 +197,7 @@ def _run_spectrum_drift_demo(p, seed, outdir, fmt):
     summary = [
         ["time_domain_variance", float(np.var(trace.values))],
         ["band_floor_above_1mhz", spec.band_mean(min(1e6, 0.5 * nyquist), nyquist)],
-        ["sql_variance", trace.sql_variance],
+        ["sql_variance", homodyne.SQL_VARIANCE],
     ]
     files.append(_write_table(outdir / "summary", ["quantity", "value"], summary, fmt))
     return files

@@ -106,6 +106,18 @@ def test_gates_skip_spectrum_check(gate, monkeypatch):
     assert not out.cov.flags.writeable and not out.mean.flags.writeable
 
 
+# gates must not run the constructor's O(N^3) check, whatever that check calls
+@pytest.mark.parametrize("gate", GATES)
+def test_gates_skip_the_boundary(gate, monkeypatch):
+    state = GaussianState(mean=np.zeros(4), cov=np.diag([0.6, 0.9, 0.7, 0.5]))
+
+    def boundary_called(self):
+        raise AssertionError("a gate ran the O(N^3) boundary check")
+
+    monkeypatch.setattr(GaussianState, "__post_init__", boundary_called)
+    GATES[gate](state, 0.5)
+
+
 # -- property test: local updates against the dense reference ------------------
 
 _angle = st.floats(-math.pi, math.pi)
@@ -183,3 +195,52 @@ def test_gates_match_dense_reference(circuit):
     scale = np.max(np.abs(cov))
     assert np.max(np.abs(state.cov - cov)) <= 1e-12 * scale
     assert np.max(np.abs(state.mean - mean)) <= 1e-12 * max(scale, np.max(np.abs(mean)))
+
+
+# -- the uncertainty test at strong squeezing --------------------------------------
+
+SQUEEZED_STATES = {
+    "tmsv": lambda r: two_mode_squeeze(vacuum(2), (0, 1), r),
+    "split-pair": lambda r: beam_splitter(squeeze(squeeze(vacuum(2), 0, r), 1, -r), (0, 1), 0.6, 0.8),
+}
+# the state's mean with a given cov, through each entry point of the boundary
+REWRAP = {
+    "constructor": lambda s, cov: GaussianState(mean=s.mean, cov=cov),
+    "from_json": lambda s, cov: GaussianState.from_json(
+        json.dumps({**s.to_json(), "cov": np.asarray(cov).tolist()})
+    ),
+    "replace": lambda s, cov: dataclasses.replace(s, cov=cov),
+}
+
+
+@pytest.mark.parametrize("entry", REWRAP)
+@pytest.mark.parametrize("r", [3, 5, 7, 9, 11])
+@pytest.mark.parametrize("kind", SQUEEZED_STATES)
+def test_strongly_squeezed_states_pass_the_boundary(kind, r, entry):
+    state = SQUEEZED_STATES[kind](r)
+    again = REWRAP[entry](state, state.cov)
+    assert np.array_equal(again.cov, state.cov) and np.array_equal(again.mean, state.mean)
+
+
+def test_pure_100_mode_chain_passes_the_boundary():
+    rng = np.random.default_rng(5)
+    state = vacuum(100)
+    for _ in range(800):
+        i, j = (int(m) for m in rng.choice(100, 2, replace=False))
+        if rng.random() < 0.5:
+            state = squeeze(state, i, rng.normal(0.0, 1.0))
+        else:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            state = beam_splitter(state, (i, j), math.cos(angle), math.sin(angle))
+    assert np.max(np.abs(state.cov)) > 1e3
+    GaussianState(mean=state.mean, cov=state.cov)
+
+
+# symplectic eigenvalues scaled to (1 - 2 delta)/2, short of 1/2
+@pytest.mark.parametrize("entry", REWRAP)
+@pytest.mark.parametrize("r, delta", [(3, 1e-6), (5, 1e-4), (7, 1e-2)])
+@pytest.mark.parametrize("kind", SQUEEZED_STATES)
+def test_sub_vacuum_deficit_rejected_at_strong_squeezing(kind, r, delta, entry):
+    state = SQUEEZED_STATES[kind](r)
+    with pytest.raises(ValueError, match="uncertainty"):
+        REWRAP[entry](state, (1.0 - 2.0 * delta) * state.cov)

@@ -155,3 +155,13 @@ def test_valid_params_give_the_same_bytes_twice(tmp_path_factory, run, seed, fmt
         _run_bytes(ScenarioConfig(scenario, params, seed, str(base / sub), fmt)) for sub in ("a", "b")
     )
     assert first == second
+
+
+def test_coarse_grid_message_names_step_and_squeezed_width(tmp_path, capsys):
+    params = {"r": 1.0, "n_phases": 12, "n_per_phase": 100, "grid_extent": 3.0, "grid_n": 11}
+    config = write_config(tmp_path / "coarse.json", "tomography-demo", params)
+    assert main(["run", config, "--out", str(tmp_path / "coarse")]) == 3
+    err = capsys.readouterr().err
+    assert "grid step 0.6 is wider than the squeezed width sqrt(v_min) = 0.3" in err, err
+    finer = write_config(tmp_path / "fine.json", "tomography-demo", {**params, "grid_n": 41})
+    assert main(["run", finer, "--out", str(tmp_path / "fine")]) == 0
