@@ -11,11 +11,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import epsilon_0 as VACUUM_PERMITTIVITY
 
 from .gaussian import GaussianState
 from .homodyne import NoiseSpectrum
+
+# CODATA 2022 values, as scipy.constants ships them (c and epsilon_0)
+SPEED_OF_LIGHT = 299792458.0  # m/s
+VACUUM_PERMITTIVITY = 8.8541878188e-12  # F/m
 
 
 @dataclass(frozen=True)

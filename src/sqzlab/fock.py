@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .gaussian import _check_modes, _phase_space_points, _readonly
 
@@ -246,15 +245,22 @@ def _beam_splitter_blocks(cutoff: int, theta: float) -> tuple:
     """exp(theta (a b^dag - a^dag b)) as one block per total photon number N.
 
     The generator conserves N = n_a + n_b, so truncation keeps it unitary.
-    On n_a = max(0, N - d + 1) .. min(N, d - 1) it is tridiagonal with
-    theta sqrt((n_a + 1) n_b) above the diagonal and its negative below
-    (Miatto & Quesada, Quantum 4, 366 (2020)). Returns (n_a, n_b, block).
+    On n_a = max(0, N - d + 1) .. min(N, d - 1) it is a real antisymmetric
+    tridiagonal K with theta sqrt((n_a + 1) n_b) above the diagonal and its
+    negative below (Miatto & Quesada, Quantum 4, 366 (2020)). With
+    D = diag(i^k), D^-1 K D = iC for the real symmetric C with the same
+    couplings, so exp(K) = Re(D V e^{i lambda} V^T D^-1) from the
+    eigen-solve C = V diag(lambda) V^T. Returns (n_a, n_b, block).
     """
     blocks = []
     for total in range(2 * cutoff - 1):
         na = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
         couple = theta * np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
-        blocks.append((na, total - na, expm(np.diag(couple, 1) - np.diag(couple, -1))))
+        vals, vecs = np.linalg.eigh(np.diag(couple, 1) + np.diag(couple, -1))
+        # i^k exactly, so the similarity adds no rounding
+        phase = np.array([1.0, 1j, -1.0, -1j])[np.arange(na.size) % 4]
+        rotated = (vecs * np.exp(1j * vals)) @ vecs.T
+        blocks.append((na, total - na, (phase[:, None] * rotated * phase.conj()).real))
     return tuple(blocks)
 
 

@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import fock
 from .fock import FockState
@@ -118,7 +117,10 @@ def teleport_wigner_check(
     # three-mode state: mode 0 input, modes 1-2 the entangled resource
     resource = two_mode_squeeze(vacuum(2), (0, 1), r_resource)
     mean6 = np.concatenate([input_state.mean, resource.mean])
-    joint = GaussianState(mean=mean6, cov=block_diag(input_state.cov, resource.cov))
+    cov6 = np.zeros((6, 6))
+    cov6[:2, :2] = input_state.cov
+    cov6[2:, 2:] = resource.cov
+    joint = GaussianState(mean=mean6, cov=cov6)
     joint = beam_splitter(joint, (0, 1), 1.0 / SQRT2, 1.0 / SQRT2)
     mean6, cov6 = joint.mean, joint.cov
 

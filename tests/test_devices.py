@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.constants
 
+from sqzlab import devices
 from sqzlab.devices import (
     CavityConfig,
     CrystalConfig,
@@ -17,6 +19,11 @@ from sqzlab.devices import (
     single_pass_r,
 )
 from sqzlab.gaussian import infer_effective_loss, quadrature_variance, squeezing_db
+
+
+def test_constants_equal_scipy_values():
+    assert devices.SPEED_OF_LIGHT == scipy.constants.c
+    assert devices.VACUUM_PERMITTIVITY == scipy.constants.epsilon_0
 
 
 @pytest.fixture

@@ -79,6 +79,15 @@ def test_beam_splitter_matches_dense_reference(state, theta):
         assert np.max(np.abs(out - dense_beam_splitter(state, modes, tau, rho))) <= 1e-12
 
 
+@pytest.mark.parametrize("theta", [0.1, math.pi / 4, math.pi / 2 - 1e-3, math.pi / 2])
+def test_beam_splitter_blocks_orthogonal_and_match_expm(theta):
+    for na, nb, block in fock._beam_splitter_blocks(64, theta):
+        couple = theta * np.sqrt((na[:-1] + 1.0) * nb[:-1])
+        generator = np.diag(couple, 1) - np.diag(couple, -1)
+        assert np.max(np.abs(block.T @ block - np.eye(na.size))) <= 1e-13
+        assert np.max(np.abs(block - expm(generator))) <= 1e-12
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("param", ["tau", "rho"])

@@ -270,6 +270,22 @@ class TestDriftAndSpectrum:
         assert n == 5000
         assert np.array_equal(trace.values, white + drift)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param({"drift_amplitude": math.nan}, "finite", id="nan-amplitude"),
+            pytest.param({"drift_amplitude": -0.75}, "negative", id="negative-amplitude"),
+            pytest.param({"electronic_noise_variance": math.nan}, "finite", id="nan-electronic"),
+            pytest.param({"quad_variance": math.nan}, "finite", id="nan-variance"),
+            pytest.param({"drift_timescale": math.nan}, "finite", id="nan-timescale"),
+            pytest.param({"fs": math.inf}, "finite", id="inf-fs"),
+        ],
+    )
+    def test_drift_rejects_bad_parameters(self, change, message):
+        args = dict(quad_variance=0.5, drift_amplitude=0.75, drift_timescale=2e-6, fs=1e6, duration=2e-3)
+        with pytest.raises(ValueError, match=message):
+            photocurrent_with_drift(**{**args, **change})
+
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError, match="1024|2\\^10|short"):
             photocurrent_with_drift(0.5, 0.0, 1e-6, 1e4, 1e-3, seed=0)
@@ -362,6 +378,19 @@ class TestBinnedBackprojection:
         start = time.perf_counter()
         w = reconstruct_wigner(ds, points, filter_cutoff=40.0)
         assert time.perf_counter() - start < 1.0
+        exact = exact_backprojection(ds, points, 40.0)
+        assert np.max(np.abs(w - exact)) <= 2e-4 * np.max(np.abs(exact))
+
+    def test_far_outlier_summed_directly(self):
+        thetas = np.linspace(0, math.pi, 12, endpoint=False)
+        ds = sample_quadratures(vacuum(1), 0, thetas, 500, seed=53)
+        xs = np.array(ds.xs)
+        xs[0] = 2000.0
+        ds = QuadratureDataset(thetas=ds.thetas, xs=xs)
+        points = wigner_grid(3.0, 41)[0]
+        start = time.perf_counter()
+        w = reconstruct_wigner(ds, points, filter_cutoff=40.0)
+        assert time.perf_counter() - start < 0.2
         exact = exact_backprojection(ds, points, 40.0)
         assert np.max(np.abs(w - exact)) <= 2e-4 * np.max(np.abs(exact))
 

@@ -40,6 +40,7 @@ PHYSICS_CASES = {
     "zero-cutoff": ("herald-photon", {"cutoff": 0}, 0),
     "negative-grid-extent": ("tomography-demo", {"grid_extent": -1.0}, 0),
     "unknown-state-kind": ("tomography-demo", {"state": "thermal"}, 0),
+    "negative-drift": ("spectrum-drift-demo", {"drift_amplitude": -0.75}, 0),
     "coarse-surface": ("tomography-demo", {"state": "vacuum", "n_phases": 12, "n_per_phase": 20, "grid_extent": 1.0, "grid_n": 3}, 0),
 }
 
