@@ -389,9 +389,7 @@ def project_number(state: FockState, mode: int, n: int) -> tuple[FockState, floa
     return FockState(amps=amps / np.sqrt(prob), norm_leak=state.norm_leak), prob
 
 
-def herald_click(
-    state: FockState, mode: int, n_resolved: int | None = None
-) -> tuple[FockState, float]:
+def herald_click(state: FockState, mode: int) -> tuple[FockState, float]:
     """Condition on a click of a non-number-resolving detector on one mode.
 
     The click projects the heralding mode onto "at least one photon". For
@@ -399,13 +397,9 @@ def herald_click(
     rest (heralded photons, tapped kittens), the conditional state is
     approximated by its dominant photon-number branch, which is returned
     renormalized with the heralding mode removed. The returned probability
-    is the total click probability (all branches n >= 1).
-
-    Pass n_resolved to model a photon-number-resolving detector instead;
-    the probability is then that of the exact outcome.
+    is the total click probability (all branches n >= 1). For a
+    photon-number-resolving detector, use project_number instead.
     """
-    if n_resolved is not None:
-        return project_number(state, mode, n_resolved)
     probs = branch_probabilities(state, mode)
     p_click = float(np.sum(probs[1:]))
     if p_click <= 1e-300:

@@ -162,10 +162,6 @@ class SymplecticOp:
             raise ValueError("matrix is not symplectic (S^T Omega S != Omega)")
         object.__setattr__(self, "matrix", matrix)
 
-    def compose(self, other: "SymplecticOp") -> "SymplecticOp":
-        """The operation 'self after other'."""
-        return SymplecticOp(matrix=self.matrix @ other.matrix)
-
 
 def _embed(n_modes: int, blocks: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
     """Place 2x2 blocks into a 2N x 2N identity at the given mode pairs."""

@@ -9,7 +9,9 @@ X_theta = X cos(theta) + P sin(theta), and the standard quantum limit
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +23,7 @@ SQL_VARIANCE = 0.5
 
 TWO_PI = 2.0 * np.pi
 
-_CSV_CHUNK = 1024  # rows per write in _save_csv
+_CSV_CHUNK = 1024  # rows per write in write_table
 
 # reconstruct_wigner sums at most this many far samples directly
 _DIRECT_MAX = 64
@@ -48,22 +50,41 @@ class QuadratureDataset:
         return self.xs.size
 
 
-def _save_csv(path, header: list[str], *columns):
-    """Write float columns under a header, each value as repr(float(v)).
+def write_table(path, header: list[str], columns, fmt: str = "csv") -> Path:
+    """Write equal-length 1-d columns under a header; returns the path written.
 
-    Rows end in CRLF, as csv.writer ends them. Rows are formatted a chunk
-    at a time, so the text of a whole column is never held at once.
+    fmt "csv" writes path.csv with LF line ends, float columns as
+    repr(float) and other columns as str, a chunk of rows at a time, so the
+    text of a whole column is never held at once. fmt "json" writes
+    path.json as a list of {header: value} objects. Raises ValueError,
+    before opening the file, unless there is one 1-d column per header
+    name and all columns have the same length.
     """
-    columns = [np.asarray(col, dtype=float) for col in columns]
+    columns = [np.asarray(col) for col in columns]
+    shapes = [col.shape for col in columns]
+    n_rows = shapes[0][0] if shapes and len(shapes[0]) == 1 else 0
+    if fmt not in ("csv", "json") or len(shapes) != len(header) or set(shapes) - {(n_rows,)}:
+        raise ValueError(
+            f"cannot write {fmt!r} table {header} from columns of shapes {shapes}: "
+            "need csv or json, and one 1-d column per name, all of one length"
+        )
+    path = Path(path).with_suffix(f".{fmt}")
+    if fmt == "json":
+        rows = [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
+        path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", newline="")
+        return path
+    texts = [repr if col.dtype.kind == "f" else str for col in columns]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, columns[0].size, _CSV_CHUNK):
-            parts = (map(repr, col[start : start + _CSV_CHUNK].tolist()) for col in columns)
-            fh.write("\r\n".join(map(",".join, zip(*parts))) + "\r\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CSV_CHUNK):
+            chunk = slice(start, start + _CSV_CHUNK)
+            parts = (map(text, col[chunk].tolist()) for text, col in zip(texts, columns))
+            fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
+    return path
 
 
-def save_dataset_csv(dataset: QuadratureDataset, path):
-    _save_csv(path, ["theta", "x"], dataset.thetas, dataset.xs)
+def save_dataset_csv(dataset: QuadratureDataset, path) -> Path:
+    return write_table(path, ["theta", "x"], [dataset.thetas, dataset.xs])
 
 
 def load_dataset_csv(path) -> QuadratureDataset:
@@ -307,16 +328,6 @@ class NoiseSpectrum:
         object.__setattr__(self, "v_minus", v_minus)
 
 
-def save_noise_spectrum_csv(spectrum_: NoiseSpectrum, path):
-    _save_csv(
-        path, ["freq_hz", "v_plus", "v_minus"], spectrum_.freqs, spectrum_.v_plus, spectrum_.v_minus
-    )
-
-
-def save_power_spectrum_csv(spectrum_: PowerSpectrum, path):
-    _save_csv(path, ["freq_hz", "power"], spectrum_.freqs, spectrum_.power)
-
-
 def spectrum(trace: PhotocurrentTrace, n_segments: int = 16) -> PowerSpectrum:
     """Welch-averaged power spectrum in quadrature-variance units."""
     if n_segments < 4:
@@ -359,10 +370,6 @@ def wigner_grid(extent: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     axis = np.linspace(-extent, extent, n)
     xx, pp = np.meshgrid(axis, axis, indexing="ij")
     return np.column_stack([xx.ravel(), pp.ravel()]), axis, axis
-
-
-def save_wigner_csv(points: np.ndarray, values: np.ndarray, path):
-    _save_csv(path, ["x", "p", "w"], *np.asarray(points).T, values)
 
 
 def _phase_groups(dataset: QuadratureDataset):

@@ -81,13 +81,6 @@ def teleport_gaussian(
     )
 
 
-def coherent_teleport_fidelity(r_resource: float) -> float:
-    """Closed-form unit-gain coherent-state fidelity 1/(1 + exp(-2r))."""
-    if r_resource < 0:
-        raise ValueError("resource squeezing must be >= 0")
-    return 1.0 / (1.0 + np.exp(-2.0 * r_resource))
-
-
 def teleport_wigner_check(
     input_state: GaussianState, r_resource: float, grid
 ) -> float:

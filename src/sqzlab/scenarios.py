@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, devices, fock, homodyne, protocols
 from .gaussian import loss_channel, quadrature_variance, squeeze, squeezing_db, vacuum
+from .homodyne import write_table
 
 
 class UnknownScenarioError(ValueError):
@@ -59,25 +60,6 @@ class Scenario:
     runner: object  # callable(params, seed, outdir, fmt) -> list[Path]
 
 
-def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> Path:
-    if fmt == "json":
-        path = path.with_suffix(".json")
-        payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
-    path = path.with_suffix(".csv")
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                for v in row
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
 def _write_json(path: Path, payload: dict) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
@@ -88,20 +70,18 @@ def _write_json(path: Path, payload: dict) -> Path:
 
 def _run_loss_sweep(p, seed, outdir, fmt):
     sq = squeeze(vacuum(1), 0, p["r"])
-    rows = []
-    for t in np.linspace(p["t_start"], p["t_stop"], p["t_steps"]):
-        out = loss_channel(sq, 0, float(t))
-        var = quadrature_variance(out, 0, 0.0)
-        rows.append([float(t), var, squeezing_db(var)])
-    return [_write_table(outdir / "loss_sweep", ["transmissivity", "var_x", "squeezing_db"], rows, fmt)]
+    ts = np.linspace(p["t_start"], p["t_stop"], p["t_steps"])
+    var = [quadrature_variance(loss_channel(sq, 0, float(t)), 0, 0.0) for t in ts]
+    columns = [ts, var, [squeezing_db(v) for v in var]]
+    return [write_table(outdir / "loss_sweep", ["transmissivity", "var_x", "squeezing_db"], columns, fmt)]
 
 
 def _run_opa_spectrum(p, seed, outdir, fmt):
     opa = devices.OpaConfig(gamma=p["gamma_hz"], eta=p["eta"], pump_ratio=p["pump_ratio"])
     freqs = np.linspace(p["nu_min_hz"], p["nu_max_hz"], p["n_points"])
     spec = devices.opa_spectrum(opa, freqs)
-    rows = [[float(f), float(vp), float(vm)] for f, vp, vm in zip(spec.freqs, spec.v_plus, spec.v_minus)]
-    return [_write_table(outdir / "opa_spectrum", ["freq_hz", "v_plus", "v_minus"], rows, fmt)]
+    columns = [spec.freqs, spec.v_plus, spec.v_minus]
+    return [write_table(outdir / "opa_spectrum", ["freq_hz", "v_plus", "v_minus"], columns, fmt)]
 
 
 def _run_ppktp_estimate(p, seed, outdir, fmt):
@@ -118,7 +98,7 @@ def _run_ppktp_estimate(p, seed, outdir, fmt):
         ["pump_amplitude_v_per_m", amplitude],
         ["single_pass_r", devices.single_pass_r(crystal, pump)],
     ]
-    return [_write_table(outdir / "ppktp_estimate", ["quantity", "value"], rows, fmt)]
+    return [write_table(outdir / "ppktp_estimate", ["quantity", "value"], zip(*rows), fmt)]
 
 
 def _run_cavity_figures(p, seed, outdir, fmt):
@@ -136,7 +116,7 @@ def _run_cavity_figures(p, seed, outdir, fmt):
         ["fwhm_hz", 2.0 * fig.gamma],
         ["escape_efficiency", fig.escape_efficiency],
     ]
-    return [_write_table(outdir / "cavity_figures", ["quantity", "value"], rows, fmt)]
+    return [write_table(outdir / "cavity_figures", ["quantity", "value"], zip(*rows), fmt)]
 
 
 def _tomography_state(p):
@@ -173,10 +153,11 @@ def _run_tomography_demo(p, seed, outdir, fmt):
         ["w_peak", float(np.max(w))],
         ["w_min", float(np.min(w))],
     ]
-    dataset_path, wigner_path = outdir / "dataset.csv", outdir / "wigner.csv"
-    homodyne.save_dataset_csv(data, dataset_path)
-    homodyne.save_wigner_csv(points, w, wigner_path)
-    return [dataset_path, wigner_path, _write_table(outdir / "summary", ["quantity", "value"], rows, fmt)]
+    return [
+        write_table(outdir / "dataset", ["theta", "x"], [data.thetas, data.xs], fmt),
+        write_table(outdir / "wigner", ["x", "p", "w"], [*points.T, w], fmt),
+        write_table(outdir / "summary", ["quantity", "value"], zip(*rows), fmt),
+    ]
 
 
 def _run_spectrum_drift_demo(p, seed, outdir, fmt):
@@ -190,25 +171,22 @@ def _run_spectrum_drift_demo(p, seed, outdir, fmt):
         electronic_noise_variance=p["electronic_noise_variance"],
     )
     spec = homodyne.spectrum(trace, n_segments=p["n_segments"])
-    files = []
-    rows = [[float(f), float(v)] for f, v in zip(spec.freqs, spec.power)]
-    files.append(_write_table(outdir / "spectrum", ["freq_hz", "power"], rows, fmt))
+    files = [write_table(outdir / "spectrum", ["freq_hz", "power"], [spec.freqs, spec.power], fmt)]
     nyquist = trace.fs / 2.0
     summary = [
         ["time_domain_variance", float(np.var(trace.values))],
         ["band_floor_above_1mhz", spec.band_mean(min(1e6, 0.5 * nyquist), nyquist)],
         ["sql_variance", homodyne.SQL_VARIANCE],
     ]
-    files.append(_write_table(outdir / "summary", ["quantity", "value"], summary, fmt))
+    files.append(write_table(outdir / "summary", ["quantity", "value"], zip(*summary), fmt))
     return files
 
 
 def _run_teleport_sweep(p, seed, outdir, fmt):
-    rows = []
-    for r in np.linspace(p["r_min"], p["r_max"], p["n_steps"]):
-        result = protocols.teleport_gaussian(vacuum(1), float(r), gain=p["gain"])
-        rows.append([float(r), result.coherent_fidelity, result.added_noise_per_quadrature])
-    return [_write_table(outdir / "teleport_sweep", ["r", "fidelity", "added_noise"], rows, fmt)]
+    rs = np.linspace(p["r_min"], p["r_max"], p["n_steps"])
+    results = [protocols.teleport_gaussian(vacuum(1), float(r), gain=p["gain"]) for r in rs]
+    columns = [rs, [x.coherent_fidelity for x in results], [x.added_noise_per_quadrature for x in results]]
+    return [write_table(outdir / "teleport_sweep", ["r", "fidelity", "added_noise"], columns, fmt)]
 
 
 def _run_gw_snr_sweep(p, seed, outdir, fmt):
@@ -217,14 +195,13 @@ def _run_gw_snr_sweep(p, seed, outdir, fmt):
         for eta in np.linspace(p["eta_min"], p["eta_max"], p["n_eta"]):
             est = protocols.gw_phase_readout(p["phi"], p["alpha"], float(r), float(eta))
             rows.append([float(r), float(eta), est.snr, est.phi_min_detectable])
-    return [_write_table(outdir / "gw_snr_sweep", ["r", "eta", "snr", "phi_min"], rows, fmt)]
+    columns = np.reshape(rows, (-1, 4)).T  # four columns even when the sweep is empty
+    return [write_table(outdir / "gw_snr_sweep", ["r", "eta", "snr", "phi_min"], columns, fmt)]
 
 
-def _engineering_outputs(pipeline, p, seed, outdir, fmt, state, table_rows):
-    files = [_write_json(outdir / "state.json", state.to_json())]
-    files.append(_write_json(outdir / "provenance.json", {"pipeline": pipeline, "params": p, "seed": seed}))
-    files.append(_write_table(outdir / "result", ["quantity", "value"], table_rows, fmt))
-    return files
+def _engineering_outputs(outdir, fmt, state, table_rows):
+    state_path = _write_json(outdir / "state.json", state.to_json())
+    return [state_path, write_table(outdir / "result", ["quantity", "value"], zip(*table_rows), fmt)]
 
 
 def _run_herald_photon(p, seed, outdir, fmt):
@@ -233,13 +210,13 @@ def _run_herald_photon(p, seed, outdir, fmt):
     one[1] = 1.0
     fid = fock.fidelity(state, fock.from_amplitudes(one))
     rows = [["click_probability", float(prob)], ["fidelity_vs_single_photon", float(fid)]]
-    return _engineering_outputs("herald-photon", p, seed, outdir, fmt, state, rows)
+    return _engineering_outputs(outdir, fmt, state, rows)
 
 
 def _run_kitten(p, seed, outdir, fmt):
     state, prob, fid = protocols.make_kitten(p["r"], p["cutoff"], p["rho"])
     rows = [["click_probability", float(prob)], ["fidelity_vs_odd_kitten", float(fid)]]
-    return _engineering_outputs("kitten", p, seed, outdir, fmt, state, rows)
+    return _engineering_outputs(outdir, fmt, state, rows)
 
 
 def _run_kitten_superposition(p, seed, outdir, fmt):
@@ -256,7 +233,7 @@ def _run_kitten_superposition(p, seed, outdir, fmt):
         ["odd_overlap_re", float(odd.real)],
         ["odd_overlap_im", float(odd.imag)],
     ]
-    return _engineering_outputs("kitten-superposition", p, seed, outdir, fmt, state, rows)
+    return _engineering_outputs(outdir, fmt, state, rows)
 
 
 CATALOG: dict[str, Scenario] = {}

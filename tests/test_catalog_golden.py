@@ -36,12 +36,29 @@ def catalog_checksums(root: Path) -> dict:
     return sums
 
 
-def test_catalog_outputs_match_golden(tmp_path):
+@pytest.fixture(scope="module")
+def catalog(tmp_path_factory):
+    """The catalog run once for this module: (output root, checksums)."""
+    root = tmp_path_factory.mktemp("catalog")
+    return root, catalog_checksums(root)
+
+
+def test_catalog_outputs_match_golden(catalog):
     golden = json.loads(GOLDEN.read_text())
     installed = {"numpy": np.__version__, "scipy": scipy.__version__}
     if golden["versions"] != installed:
         pytest.skip(f"checksums recorded with {golden['versions']}, installed {installed}")
-    assert catalog_checksums(tmp_path) == golden["sha256"]
+    assert catalog[1] == golden["sha256"]
+
+
+def test_catalog_outputs_have_lf_line_ends(catalog):
+    root, sums = catalog
+    with_cr = []
+    for key in sums:
+        name, fmt, file = key.split("/")
+        if b"\r" in (root / fmt / name / file).read_bytes():
+            with_cr.append(key)
+    assert with_cr == []
 
 
 if __name__ == "__main__":

@@ -96,15 +96,38 @@ class TestRunScenario:
         values = {row["quantity"]: row["value"] for row in rows}
         assert values["escape_efficiency"] == 0.75
         assert values["fwhm_hz"] == pytest.approx(2 * values["gamma_hz"], rel=1e-12)
+        # the dataset and Wigner tables follow the format too, with the csv run's values
+        for fmt in ("csv", "json"):
+            run_scenario(ScenarioConfig("tomography-demo", output_dir=str(tmp_path / fmt), format=fmt))
+        for name, header in [("dataset", "theta,x"), ("wigner", "x,p,w")]:
+            csv_path = tmp_path / "csv" / f"{name}.csv"
+            assert csv_path.read_text().splitlines()[0] == header
+            rows = json.loads((tmp_path / "json" / f"{name}.json").read_text())
+            mirrored = [[row[key] for key in header.split(",")] for row in rows]
+            assert mirrored == np.loadtxt(csv_path, delimiter=",", skiprows=1).tolist()
+            assert not (tmp_path / "json" / f"{name}.csv").exists()
 
     def test_engineering_outputs_state_and_provenance(self, tmp_path):
         config = ScenarioConfig(scenario="herald-photon", output_dir=str(tmp_path))
         run_scenario(config)
         state = json.loads((tmp_path / "state.json").read_text())
         assert state["version"] == "fstate-v1"
-        prov = json.loads((tmp_path / "provenance.json").read_text())
-        assert prov["pipeline"] == "herald-photon"
-        assert prov["params"]["r"] == 0.05
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["scenario"] == "herald-photon"
+        assert manifest["params"]["r"] == 0.05
+        assert sorted(manifest["outputs"]) == ["result.csv", "state.json"]
+
+    @pytest.mark.parametrize(
+        "name, params, header",
+        [
+            ("loss-sweep", {"t_steps": 0}, "transmissivity,var_x,squeezing_db"),
+            ("teleport-sweep", {"r_max": 1.0, "n_steps": 0}, "r,fidelity,added_noise"),
+            ("gw-snr-sweep", {"n_r": 0}, "r,eta,snr,phi_min"),
+        ],
+    )
+    def test_empty_sweep_writes_header_only(self, tmp_path, name, params, header):
+        run_scenario(ScenarioConfig(scenario=name, params=params, output_dir=str(tmp_path)))
+        assert (tmp_path / f"{name.replace('-', '_')}.csv").read_text() == header + "\n"
 
     @pytest.mark.parametrize("name", sorted(ALL_DEFAULTED))
     def test_every_scenario_runs_with_defaults(self, name, tmp_path):

@@ -307,7 +307,7 @@ class TestHerald:
 
     def test_number_resolved_projection(self):
         t = tmsv_fock(0.5, 25)
-        signal, p2 = herald_click(t, mode=1, n_resolved=2)
+        signal, p2 = project_number(t, 1, 2)
         assert fidelity(signal, number_state(2, 25)) == pytest.approx(1.0, abs=1e-12)
         diag = np.abs(np.asarray(t.amps)[np.arange(25), np.arange(25)]) ** 2
         assert p2 == pytest.approx(diag[2], abs=1e-12)

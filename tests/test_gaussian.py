@@ -356,9 +356,9 @@ class TestSymplecticStructure:
         a = squeeze_op(2, 0, 0.9, 0.4)
         b = beam_splitter_op(2, (0, 1), 0.6, 0.8)
         c = two_mode_squeeze_op(2, (0, 1), 0.5)
-        composed = a.compose(b).compose(c)
+        composed = a.matrix @ b.matrix @ c.matrix
         omega = symplectic_form(2)
-        defect = composed.matrix.T @ omega @ composed.matrix - omega
+        defect = composed.T @ omega @ composed - omega
         assert np.max(np.abs(defect)) < 1e-10
 
     def test_invalid_matrix_rejected(self):
@@ -382,11 +382,11 @@ class TestSymplecticStructure:
         # two-mode squeezer equals splitter . (squeeze x antisqueeze) . inverse splitter
         r = 0.75
         inverse_bs = beam_splitter_op(2, (0, 1), SYM_BS, -SYM_BS)
-        local = squeeze_op(2, 0, -r).compose(squeeze_op(2, 1, r))
+        local = squeeze_op(2, 0, -r).matrix @ squeeze_op(2, 1, r).matrix
         forward_bs = beam_splitter_op(2, (0, 1), SYM_BS, SYM_BS)
-        composed = forward_bs.compose(local).compose(inverse_bs)
+        composed = forward_bs.matrix @ local @ inverse_bs.matrix
         direct = two_mode_squeeze_op(2, (0, 1), r)
-        np.testing.assert_allclose(composed.matrix, direct.matrix, atol=1e-10)
+        np.testing.assert_allclose(composed, direct.matrix, atol=1e-10)
 
     def test_rotation_conjugation_matches_phi_squeeze(self):
         s1 = squeeze(vacuum(1), 0, 0.6, phi=0.8)

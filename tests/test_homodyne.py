@@ -25,6 +25,7 @@ from sqzlab.homodyne import (
     variance_profile,
     wigner_axis_ratio,
     wigner_grid,
+    write_table,
 )
 from sqzlab.protocols import teleport_wigner_check
 
@@ -485,79 +486,48 @@ class TestTomography:
 
 
 class TestCsvWriters:
-    def test_noise_spectrum_csv(self, tmp_path):
-        from sqzlab.devices import OpaConfig, opa_spectrum
-        from sqzlab.homodyne import save_noise_spectrum_csv
-
-        spec = opa_spectrum(OpaConfig(2e6, 0.75, 0.9), np.linspace(1e5, 1e7, 7))
-        path = tmp_path / "spec.csv"
-        save_noise_spectrum_csv(spec, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "freq_hz,v_plus,v_minus"
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(rows[:, 1], spec.v_plus, atol=1e-15)
-        np.testing.assert_allclose(rows[:, 2], spec.v_minus, atol=1e-15)
-
-    def test_power_spectrum_csv(self, tmp_path):
-        from sqzlab.homodyne import save_power_spectrum_csv
-
-        trace = photocurrent_with_drift(0.5, 0.0, 1e-6, 2e6, 1e-3, seed=61)
-        spec = spectrum(trace, 8)
-        path = tmp_path / "power.csv"
-        save_power_spectrum_csv(spec, path)
-        assert path.read_text().splitlines()[0] == "freq_hz,power"
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(rows[:, 1], spec.power, atol=1e-15)
-
     def test_wigner_csv(self, tmp_path):
-        from sqzlab.homodyne import save_wigner_csv
-
         points, _, _ = wigner_grid(2.0, 5)
         values = wigner_gaussian(vacuum(1), points)
-        path = tmp_path / "w.csv"
-        save_wigner_csv(points, values, path)
+        path = write_table(tmp_path / "w", ["x", "p", "w"], [*points.T, values])
+        assert path == tmp_path / "w.csv"
         assert path.read_text().splitlines()[0] == "x,p,w"
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(rows[:, 2], values, atol=1e-15)
+        np.testing.assert_array_equal(rows, np.column_stack([points, values]))
 
     def test_exact_bytes(self, tmp_path):
-        # every value as repr(float), csv.writer's CRLF line ends
-        from sqzlab.homodyne import (
-            NoiseSpectrum,
-            PowerSpectrum,
-            save_noise_spectrum_csv,
-            save_power_spectrum_csv,
-            save_wigner_csv,
-        )
-
-        freqs, lo, hi = [1e5, 2.5e6], [0.1, 0.25], [5.0, 1 / 3]
+        # floats as repr(float), other columns as str, LF line ends
+        dataset = QuadratureDataset(thetas=np.array([0.0, 0.5]), xs=np.array([-0.1, 3.0]))
         cases = [
+            (["theta", "x"], [dataset.thetas, dataset.xs], b"theta,x\n0.0,-0.1\n0.5,3.0\n"),
             (
-                save_dataset_csv,
-                (QuadratureDataset(thetas=np.array([0.0, 0.5]), xs=np.array([-0.1, 3.0])),),
-                b"theta,x\r\n0.0,-0.1\r\n0.5,3.0\r\n",
+                ["x", "p", "w"],
+                [*np.array([[0.0, -1.5], [0.1, 2.0]]).T, [0.25, 1e-20]],
+                b"x,p,w\n0.0,-1.5,0.25\n0.1,2.0,1e-20\n",
             ),
             (
-                save_wigner_csv,
-                ([[0.0, -1.5], [0.1, 2.0]], [0.25, 1e-20]),
-                b"x,p,w\r\n0.0,-1.5,0.25\r\n0.1,2.0,1e-20\r\n",
-            ),
-            (
-                save_noise_spectrum_csv,
-                (NoiseSpectrum(freqs=freqs, v_plus=hi, v_minus=lo),),
-                b"freq_hz,v_plus,v_minus\r\n100000.0,5.0,0.1\r\n"
-                b"2500000.0,0.3333333333333333,0.25\r\n",
-            ),
-            (
-                save_power_spectrum_csv,
-                (PowerSpectrum(freqs=freqs, power=lo),),
-                b"freq_hz,power\r\n100000.0,0.1\r\n2500000.0,0.25\r\n",
+                ["quantity", "value"],
+                [["finesse", "gamma_hz"], [1 / 3, 2.5e6]],
+                b"quantity,value\nfinesse,0.3333333333333333\ngamma_hz,2500000.0\n",
             ),
         ]
-        for i, (save, args, expected) in enumerate(cases):
-            path = tmp_path / f"{i}.csv"
-            save(*args, path)
-            assert path.read_bytes() == expected
+        for i, (header, columns, expected) in enumerate(cases):
+            assert write_table(tmp_path / str(i), header, columns).read_bytes() == expected
+        assert save_dataset_csv(dataset, tmp_path / "data.csv").read_bytes() == cases[0][2]
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            pytest.param(["x", "p", "w"], [*np.array([[0, 0], [1, 1], [2, 2]]).T, [0.5]], id="short-column"),
+            pytest.param(["x", "p", "w"], [[0.0], [1.0]], id="missing-column"),
+            pytest.param(["x"], [[[0.0, 1.0]]], id="2-d-column"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_columns_rejected_before_writing(self, tmp_path, header, columns, fmt):
+        with pytest.raises(ValueError, match="one 1-d column per name"):
+            write_table(tmp_path / "table", header, columns, fmt)
+        assert list(tmp_path.iterdir()) == []
 
 
 # -- one grid check for every phase-space evaluator ------------------------------

@@ -11,7 +11,6 @@ from sqzlab.fock import fidelity, from_amplitudes, overlap
 from sqzlab.gaussian import displace, squeeze, vacuum, wigner_gaussian
 from sqzlab.homodyne import wigner_grid
 from sqzlab.protocols import (
-    coherent_teleport_fidelity,
     detection_efficiency_for_improvement,
     engineer_kitten_superposition,
     gw_phase_readout,
@@ -76,7 +75,8 @@ class TestTeleportation:
 
     def test_reported_experiment_inversion(self):
         # fidelity 0.58 corresponds to r about 0.161
-        r = brentq(lambda x: coherent_teleport_fidelity(x) - 0.58, 0.0, 2.0, xtol=1e-12)
+        # closed-form unit-gain coherent-state fidelity 1/(1 + exp(-2r))
+        r = brentq(lambda x: 1.0 / (1.0 + math.exp(-2.0 * x)) - 0.58, 0.0, 2.0, xtol=1e-12)
         assert r == pytest.approx(-0.5 * math.log(1.0 / 0.58 - 1.0), abs=1e-10)
         assert teleport_gaussian(vacuum(1), r).coherent_fidelity == pytest.approx(0.58, abs=1e-10)
 
