@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .gaussian import (
     GaussianState,
-    SymplecticOp,
     beam_splitter,
     displace,
     infer_effective_loss,

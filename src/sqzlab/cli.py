@@ -1,6 +1,7 @@
 """Command-line entry point: `sqz run | validate | list`.
 
-Exit codes: 0 success, 2 unknown scenario (or usage error), 3 rejected
+Exit codes: 0 success, 2 unknown scenario or usage error (--param, --seed
+or --format with a config file, which only --out overrides), 3 rejected
 input: a schema violation (floats must be finite, ints integral, the seed
 a non-negative integer) or a parameter the physics rejects, 4 file-system
 failure. Every error is one line on stderr. A failed run removes only
@@ -24,7 +25,7 @@ from .scenarios import (
 )
 
 EXIT_OK = 0
-EXIT_UNKNOWN_SCENARIO = 2
+EXIT_UNKNOWN_SCENARIO = EXIT_USAGE = 2
 EXIT_SCHEMA = 3
 EXIT_IO = 4
 
@@ -45,12 +46,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sqz", description="squeezed-light scenario runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a scenario from a config file or by name")
+    # unset flags stay off the namespace, so a run from a config file can refuse them
+    run = sub.add_parser(
+        "run", help="run a scenario from a config file or by name", argument_default=argparse.SUPPRESS
+    )
     run.add_argument("target", help="path to a config JSON, or a scenario name")
-    run.add_argument("--param", action="append", type=_parse_param, default=[], metavar="K=V")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--param", action="append", type=_parse_param, metavar="K=V")
+    run.add_argument("--seed", type=int, help="default 0")
     run.add_argument("--out", default=None, help="output directory (default SQZ_OUT or ./sqz_out)")
-    run.add_argument("--format", choices=("csv", "json"), default="csv")
+    run.add_argument("--format", choices=("csv", "json"), help="default csv")
 
     val = sub.add_parser("validate", help="check a config file without running it")
     val.add_argument("config", help="path to a config JSON")
@@ -79,18 +83,18 @@ def _cmd_validate(config: ScenarioConfig) -> int:
 
 def _cmd_run(args) -> int:
     target = args.target
+    given = {k: getattr(args, k) for k in ("param", "seed", "format") if hasattr(args, k)}
     if target.endswith(".json") or Path(target).is_file():
+        if given:
+            flags = ", ".join(f"--{k}" for k in given)
+            print(f"error: {flags} cannot be used with a config file", file=sys.stderr)
+            return EXIT_USAGE
         config = load_config(target)
         if args.out is not None:
             config = dataclasses.replace(config, output_dir=args.out)
     else:
-        config = ScenarioConfig(
-            scenario=target,
-            params=dict(args.param),
-            seed=args.seed,
-            output_dir=args.out,
-            format=args.format,
-        )
+        params = dict(given.pop("param", []))
+        config = ScenarioConfig(scenario=target, params=params, output_dir=args.out, **given)
     manifest = run_scenario(config)
     print(f"wrote {manifest.parent}/ (manifest: {manifest.name})")
     return EXIT_OK

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import _check_modes, _phase_space_points, _readonly
+from .gaussian import STRUCTURAL_TOL, _check_modes, _phase_space_points, _readonly
 
 MAX_MODES = 3
 MAX_CUTOFF = 64
@@ -270,7 +270,7 @@ def beam_splitter_fock(
     """Beam splitter on a pair of modes: a' = tau a - rho b, b' = tau b + rho a."""
     i, j = modes
     _check_modes(state, i, j)
-    if not abs(tau * tau + rho * rho - 1.0) <= 1e-10:  # NaN fails too
+    if not abs(tau * tau + rho * rho - 1.0) <= STRUCTURAL_TOL:  # NaN fails too
         raise ValueError(f"beam splitter requires tau^2 + rho^2 = 1, got tau={tau}, rho={rho}")
     amps = np.moveaxis(np.asarray(state.amps), (i, j), (0, 1))
     out = np.empty_like(amps)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Symplecticity and symmetry checks use 1e-10 and 1e-12 relative, and the
-# uncertainty test 1e-14 relative to max|cov| (see GaussianState); the scalar
-# inequalities of infer_effective_loss use 1e-9 absolute.
+# STRUCTURAL_TOL bounds |tau^2 + rho^2 - 1| for a beam splitter (here and in
+# fock); the symmetry and uncertainty checks (see GaussianState) use 1e-12 and
+# 1e-14 relative to max|cov|; infer_effective_loss uses PHYSICS_TOL absolute.
 STRUCTURAL_TOL = 1e-10
 PHYSICS_TOL = 1e-9
 
@@ -38,17 +38,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
     return omega
-
-
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a covariance matrix, sorted ascending.
-
-    These are the moduli of the eigenvalues of Omega @ cov, which come in
-    pairs +/- i*nu; a physical state has every nu >= 1/2.
-    """
-    n = cov.shape[0] // 2
-    eigs = np.linalg.eigvals(symplectic_form(n) @ cov)
-    return np.sort(np.abs(eigs))[::2]
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -142,35 +131,6 @@ class GaussianState:
         return state
 
 
-@dataclass(frozen=True)
-class SymplecticOp:
-    """A Gaussian unitary's symplectic matrix S, acting as cov -> S cov S^T.
-
-    The gates take their 2x2 and 4x4 blocks from the ``*_op`` builders,
-    built at one or two modes, so every block passes this check.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = _readonly(self.matrix)
-        omega = symplectic_form(matrix.shape[0] // 2)
-        defect = matrix.T @ omega @ matrix - omega
-        # rounding in S^T Omega S grows like eps * |S|^2, so scale the check
-        scale = max(1.0, float(np.max(np.abs(matrix))))
-        if not np.max(np.abs(defect)) / scale / scale <= STRUCTURAL_TOL:  # NaN fails too
-            raise ValueError("matrix is not symplectic (S^T Omega S != Omega)")
-        object.__setattr__(self, "matrix", matrix)
-
-
-def _embed(n_modes: int, blocks: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-    """Place 2x2 blocks into a 2N x 2N identity at the given mode pairs."""
-    s = np.eye(2 * n_modes)
-    for (i, j), blk in blocks.items():
-        s[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = blk
-    return s
-
-
 def _check_modes(state, *modes: int):
     """Raise ValueError unless each mode indexes the state and none repeats."""
     for mode in modes:
@@ -184,66 +144,20 @@ def vacuum(n_modes: int) -> GaussianState:
     """The N-mode vacuum: zero mean, covariance I/2."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    return GaussianState(
-        mean=np.zeros(2 * n_modes),
-        cov=VACUUM_VARIANCE * np.eye(2 * n_modes),
-    )
+    return GaussianState(mean=np.zeros(2 * n_modes), cov=VACUUM_VARIANCE * np.eye(2 * n_modes))
 
 
-def rotation_op(n_modes: int, mode: int, theta: float) -> SymplecticOp:
-    """Phase-space rotation of one mode by angle theta (counterclockwise)."""
+def _rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
-    blk = np.array([[c, -s], [s, c]])
-    return SymplecticOp(matrix=_embed(n_modes, {(mode, mode): blk}))
+    return np.array([[c, -s], [s, c]])
 
 
-def squeeze_op(n_modes: int, mode: int, r: float, phi: float = 0.0) -> SymplecticOp:
-    """Single-mode squeezer.
-
-    For phi = 0 the X quadrature is scaled by exp(-r) and P by exp(+r);
-    a nonzero phi rotates the squeezed axis to angle phi (the phi != 0
-    case is defined as the rotation conjugate of the phi = 0 squeezer).
-    """
-    local = np.diag([np.exp(-r), np.exp(r)])
-    if phi != 0.0:
-        c, s = np.cos(phi), np.sin(phi)
-        rot = np.array([[c, -s], [s, c]])
-        local = rot @ local @ rot.T
-    return SymplecticOp(matrix=_embed(n_modes, {(mode, mode): local}))
-
-
-def two_mode_squeeze_op(n_modes: int, modes: tuple[int, int], r: float) -> SymplecticOp:
-    """Two-mode squeezer: correlates positions, anticorrelates momenta.
-
-    Sum/difference quadratures scale as (X_a +/- X_b) -> exp(+/- r) and
-    (P_a +/- P_b) -> exp(-/+ r).
-    """
-    i, j = modes
-    ch, sh = np.cosh(r), np.sinh(r)
-    diag = np.array([[ch, 0.0], [0.0, ch]])
-    off = np.array([[sh, 0.0], [0.0, -sh]])
-    return SymplecticOp(
-        matrix=_embed(n_modes, {(i, i): diag, (j, j): diag, (i, j): off, (j, i): off})
-    )
-
-
-def beam_splitter_op(
-    n_modes: int, modes: tuple[int, int], tau: float, rho: float
-) -> SymplecticOp:
-    """Beam splitter mixing modes (i, j): a' = tau a - rho b, b' = tau b + rho a.
-
-    Both X and P pairs mix with the same real (tau, rho); no extra phases.
-    """
-    if not abs(tau * tau + rho * rho - 1.0) <= STRUCTURAL_TOL:  # NaN fails too
-        raise ValueError(f"beam splitter requires tau^2 + rho^2 = 1, got tau={tau}, rho={rho}")
-    i, j = modes
-    t = tau * np.eye(2)
-    return SymplecticOp(
-        matrix=_embed(
-            n_modes,
-            {(i, i): t, (j, j): t, (i, j): -rho * np.eye(2), (j, i): rho * np.eye(2)},
-        )
-    )
+def _pair_block(diag, off_ij, off_ji) -> np.ndarray:
+    """The 4x4 block [[diag, off_ij], [off_ji, diag]] of a gate on modes (i, j)."""
+    s = np.empty((4, 4))
+    s[:2, :2] = s[2:, 2:] = diag
+    s[:2, 2:], s[2:, :2] = off_ij, off_ji
+    return s
 
 
 def _act(state: GaussianState, modes, block, noise=0.0, shift=0.0) -> GaussianState:
@@ -264,25 +178,42 @@ def _act(state: GaussianState, modes, block, noise=0.0, shift=0.0) -> GaussianSt
 
 
 def squeeze(state: GaussianState, mode: int, r: float, phi: float = 0.0) -> GaussianState:
-    """Apply a single-mode squeezer to one mode of the state."""
-    return _act(state, (mode,), squeeze_op(1, 0, r, phi).matrix)
+    """Apply a single-mode squeezer to one mode of the state.
+
+    For phi = 0 the X quadrature is scaled by exp(-r) and P by exp(+r); a
+    nonzero phi rotates the squeezed axis to angle phi (rotation conjugation).
+    """
+    block = np.diag([np.exp(-r), np.exp(r)])
+    if phi != 0.0:
+        rot = _rotation(phi)
+        block = rot @ block @ rot.T
+    return _act(state, (mode,), block)
 
 
 def two_mode_squeeze(state: GaussianState, modes: tuple[int, int], r: float) -> GaussianState:
-    """Apply a two-mode squeezer to a pair of modes."""
-    return _act(state, modes, two_mode_squeeze_op(2, (0, 1), r).matrix)
+    """Apply a two-mode squeezer to modes (i, j): it correlates positions and
+    anticorrelates momenta, (X_i +/- X_j) -> exp(+/- r) and (P_i +/- P_j) -> exp(-/+ r).
+    """
+    ch, sh = np.cosh(r), np.sinh(r)
+    off = np.diag([sh, -sh])
+    return _act(state, modes, _pair_block(ch * np.eye(2), off, off))
 
 
 def beam_splitter(
     state: GaussianState, modes: tuple[int, int], tau: float, rho: float
 ) -> GaussianState:
-    """Mix two modes on a beam splitter with amplitudes (tau, rho)."""
-    return _act(state, modes, beam_splitter_op(2, (0, 1), tau, rho).matrix)
+    """Mix modes (i, j) on a beam splitter: a' = tau a - rho b, b' = tau b + rho a.
+
+    Both X and P pairs mix with the same real (tau, rho); no extra phases.
+    """
+    if not abs(tau * tau + rho * rho - 1.0) <= STRUCTURAL_TOL:  # NaN fails too
+        raise ValueError(f"beam splitter requires tau^2 + rho^2 = 1, got tau={tau}, rho={rho}")
+    return _act(state, modes, _pair_block(tau * np.eye(2), -rho * np.eye(2), rho * np.eye(2)))
 
 
 def rotate(state: GaussianState, mode: int, theta: float) -> GaussianState:
-    """Rotate one mode in phase space by theta."""
-    return _act(state, (mode,), rotation_op(1, 0, theta).matrix)
+    """Rotate one mode in phase space by theta (counterclockwise)."""
+    return _act(state, (mode,), _rotation(theta))
 
 
 def displace(state: GaussianState, mode: int, alpha: complex) -> GaussianState:

@@ -425,7 +425,8 @@ def _resolve(config: ScenarioConfig) -> tuple[Scenario, dict]:
 
     Returns the scenario and its params typed by the schema, defaults filled
     in. Floats must be finite, ints integral and the seed a non-negative
-    integer. Raises UnknownScenarioError or SchemaError and touches no file.
+    integer; a boolean is none of these. Raises UnknownScenarioError or
+    SchemaError and touches no file.
     """
     if config.scenario not in CATALOG:
         raise UnknownScenarioError(f"unknown scenario {config.scenario!r}")
@@ -433,7 +434,7 @@ def _resolve(config: ScenarioConfig) -> tuple[Scenario, dict]:
     problems = []
     if config.format not in ("csv", "json"):
         problems.append(f"format must be csv or json, got {config.format!r}")
-    if not isinstance(config.seed, numbers.Integral) or config.seed < 0:
+    if isinstance(config.seed, bool) or not isinstance(config.seed, numbers.Integral) or config.seed < 0:
         problems.append(f"seed must be a non-negative integer, got {config.seed!r}")
     params = {}
     for name, spec in scenario.params.items():
@@ -448,7 +449,9 @@ def _resolve(config: ScenarioConfig) -> tuple[Scenario, dict]:
         except (TypeError, ValueError, OverflowError):
             problems.append(f"param {name!r}: cannot convert {value!r} to {spec.kind.__name__}")
         else:
-            if spec.kind is float and not math.isfinite(params[name]):
+            if isinstance(value, bool):
+                problems.append(f"param {name!r}: a boolean ({value!r}) is not accepted")
+            elif spec.kind is float and not math.isfinite(params[name]):
                 problems.append(f"param {name!r}: {value!r} is not finite")
             elif spec.kind is int and isinstance(value, float) and params[name] != value:
                 problems.append(f"param {name!r}: {value!r} is not an integer")

@@ -208,6 +208,25 @@ class TestCliMain:
         assert rows.shape == (5, 3)
         assert rows[0, 1] == 0.5
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--seed", "5", "--format", "json", "--param", "n_phases=3"], "--param, --seed, --format"),
+            (["--seed", "0"], "--seed"),
+            (["--format", "csv"], "--format"),
+        ],
+    )
+    def test_config_file_refuses_run_flags(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"scenario": "loss-sweep", "output_dir": str(out)})
+        assert main(["run", path, *flags, "--out", str(tmp_path / "other")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {named} cannot be used with a config file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        # --out alone is the one override
+        assert main(["run", path, "--out", str(tmp_path / "other")]) == 0
+        assert (tmp_path / "other" / "manifest.json").exists() and not out.exists()
+
     def test_unknown_scenario_exit_2(self, tmp_path, capsys):
         assert main(["run", "frobnicate", "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()

@@ -13,15 +13,11 @@ from sqzlab import gaussian
 from sqzlab.gaussian import (
     GaussianState,
     beam_splitter,
-    beam_splitter_op,
     displace,
     loss_channel,
     rotate,
-    rotation_op,
     squeeze,
-    squeeze_op,
     two_mode_squeeze,
-    two_mode_squeeze_op,
     vacuum,
 )
 
@@ -71,13 +67,15 @@ def test_gate_rejects_non_finite_parameter(gate, value):
         GATES[gate](vacuum(2), value)
 
 
+# every parameter of each symplectic block, one at a time, keyed by the block
+# the gate builds from it (the gates build their own blocks)
 BUILDERS = {
-    "rotation_op": lambda v: rotation_op(2, 0, v),
-    "squeeze_op-r": lambda v: squeeze_op(2, 0, v),
-    "squeeze_op-phi": lambda v: squeeze_op(2, 0, 0.3, v),
-    "two_mode_squeeze_op": lambda v: two_mode_squeeze_op(2, (0, 1), v),
-    "beam_splitter_op-tau": lambda v: beam_splitter_op(2, (0, 1), v, 0.0),
-    "beam_splitter_op-rho": lambda v: beam_splitter_op(2, (0, 1), 1.0, v),
+    "rotation_op": lambda v: rotate(vacuum(2), 0, v),
+    "squeeze_op-r": lambda v: squeeze(vacuum(2), 0, v),
+    "squeeze_op-phi": lambda v: squeeze(vacuum(2), 0, 0.3, v),
+    "two_mode_squeeze_op": lambda v: two_mode_squeeze(vacuum(2), (0, 1), v),
+    "beam_splitter_op-tau": lambda v: beam_splitter(vacuum(2), (0, 1), v, 0.0),
+    "beam_splitter_op-rho": lambda v: beam_splitter(vacuum(2), (0, 1), 1.0, v),
 }
 
 
@@ -94,14 +92,17 @@ def test_squeeze_overflow_rejected():
         squeeze(vacuum(1), 0, 400.0)
 
 
+# the uncertainty check is one Hermitian eigen-solve; no gate may run it
 @pytest.mark.parametrize("gate", GATES)
 def test_gates_skip_spectrum_check(gate, monkeypatch):
     state = GaussianState(mean=np.zeros(4), cov=np.diag([0.6, 0.9, 0.7, 0.5]))
 
-    def spectrum_called(cov):
+    def spectrum_called(a):
         raise AssertionError("a gate ran the O(N^3) uncertainty check")
 
-    monkeypatch.setattr(gaussian, "symplectic_eigenvalues", spectrum_called)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spectrum_called)
+    with pytest.raises(AssertionError, match="uncertainty check"):
+        GaussianState(mean=state.mean, cov=state.cov)
     out = GATES[gate](state, 0.5)
     assert not out.cov.flags.writeable and not out.mean.flags.writeable
 
@@ -158,8 +159,13 @@ def _local(state, gate):
     return getattr(gaussian, name)(state, *args, *params)
 
 
+def _rot(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
 def _dense(mean, cov, gate):
-    """The same gate as a full 2N x 2N map: S sigma S^T, or X sigma X^T + Y."""
+    """The same gate as a full 2N x 2N map: S sigma S^T, or X sigma X^T + Y.
+    S is built here from the README conventions, not from the gates' code."""
     name, modes, params = gate
     n = mean.size // 2
     q = [2 * modes[0], 2 * modes[0] + 1]
@@ -173,14 +179,21 @@ def _dense(mean, cov, gate):
         x[q, q] = math.sqrt(t)
         y[q, q] = (1.0 - t) / 2.0
         return x @ mean, x @ cov @ x.T + y
-    s = {
-        "squeeze": lambda: squeeze_op(n, modes[0], *params),
-        "rotate": lambda: rotation_op(n, modes[0], *params),
-        "two_mode_squeeze": lambda: two_mode_squeeze_op(n, modes, *params),
-        "beam_splitter": lambda: beam_splitter_op(
-            n, modes, math.cos(params[0]), math.sin(params[0])
-        ),
-    }[name]().matrix
+    s = np.eye(2 * n)
+    a, b = (slice(2 * m, 2 * m + 2) for m in (modes[0], modes[-1]))
+    if name == "squeeze":
+        r, phi = params
+        s[a, a] = _rot(phi) @ np.diag([math.exp(-r), math.exp(r)]) @ _rot(phi).T
+    elif name == "rotate":
+        s[a, a] = _rot(params[0])
+    elif name == "two_mode_squeeze":
+        ch, sh = math.cosh(params[0]), math.sinh(params[0])
+        s[a, a] = s[b, b] = ch * np.eye(2)
+        s[a, b] = s[b, a] = np.diag([sh, -sh])
+    else:  # beam splitter at angle params[0]: a' = tau a - rho b, b' = tau b + rho a
+        tau, rho = math.cos(params[0]), math.sin(params[0])
+        s[a, a] = s[b, b] = tau * np.eye(2)
+        s[a, b], s[b, a] = -rho * np.eye(2), rho * np.eye(2)
     return s @ mean, s @ cov @ s.T
 
 

@@ -33,6 +33,10 @@ SCHEMA_CASES = {
     "negative-seed": ("tomography-demo", {}, -1),
     "non-integral-seed": ("cavity-figures", {}, 2.7),
     "string-seed": ("cavity-figures", {}, "7"),
+    "bool-seed": ("loss-sweep", {}, True),
+    "bool-int": ("loss-sweep", {"t_steps": True}, 0),
+    "bool-float": ("loss-sweep", {"r": False}, 0),
+    "bool-seed-and-params": ("loss-sweep", {"t_steps": True, "r": False}, True),
 }
 PHYSICS_CASES = {
     "no-samples": ("tomography-demo", {"n_per_phase": 0}, 0),
