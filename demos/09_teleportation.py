@@ -31,11 +31,11 @@ for alpha in (0.0, 1.0, 2.0j):
     f = teleport_gaussian(displace(vacuum(1), 0, alpha), 0.5).coherent_fidelity
     print(f"input alpha = {alpha!s:>6}: fidelity {f:.6f}")
 
-print("\n== independent check through the three-mode Wigner integral ==")
+print("\n== second route: condition on the homodyne outcomes, then average ==")
 points, _, _ = wigner_grid(4.0, 21)
 state = displace(vacuum(1), 0, 1.0 + 0.5j)
 for r in (0.0, 1.0, 8.0):
     disc = teleport_wigner_check(state, r, points)
-    print(f"r = {r:3.1f}: max |numeric - closed form| = {disc:.2e}")
+    print(f"r = {r:3.1f}: max |route - closed form| = {disc:.2e}")
 print("at r = 8 the output Wigner function is the input's to a few 1e-8:")
 print("teleportation becomes transparent in the strong-squeezing limit")

@@ -67,8 +67,7 @@ class FockState:
         d = amps.shape[0]
         if any(dim != d for dim in amps.shape):
             raise ValueError("all modes must share the same cutoff")
-        if not 1 <= d <= MAX_CUTOFF:
-            raise ValueError(f"cutoff must be between 1 and {MAX_CUTOFF}")
+        _check_cutoff(d)
         norm_sq = float(np.vdot(amps, amps).real)
         if not 0.0 < norm_sq <= 1.0 + 1e-9:
             raise ValueError(f"state norm^2 = {norm_sq:.6g} outside (0, 1]")
@@ -114,6 +113,11 @@ def from_amplitudes(amps) -> FockState:
     return FockState(amps=amps / norm)
 
 
+def _check_cutoff(cutoff: int) -> None:
+    if not 1 <= cutoff <= MAX_CUTOFF:
+        raise ValueError(f"cutoff must be between 1 and {MAX_CUTOFF}, got {cutoff}")
+
+
 def _finalize_family(raw: np.ndarray, label: str) -> FockState:
     """Normalize a truncated analytic family and record the lost weight."""
     norm_sq = float(np.vdot(raw, raw).real)
@@ -132,6 +136,7 @@ def _finalize_family(raw: np.ndarray, label: str) -> FockState:
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     """Coherent state |alpha>: amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!)."""
+    _check_cutoff(cutoff)
     alpha = complex(alpha)
     if alpha == 0:
         raw = np.zeros(cutoff, dtype=complex)
@@ -154,6 +159,7 @@ def squeezed_vacuum_fock(r: float, cutoff: int) -> FockState:
     Only even photon numbers appear: the amplitude of |2m> is
     (-tanh r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r)).
     """
+    _check_cutoff(cutoff)
     raw = np.zeros(cutoff, dtype=complex)
     raw[0] = 1.0 / math.sqrt(math.cosh(r))
     for m in range(1, (cutoff - 1) // 2 + 1):
@@ -164,6 +170,7 @@ def squeezed_vacuum_fock(r: float, cutoff: int) -> FockState:
 
 def tmsv_fock(r: float, cutoff: int) -> FockState:
     """Two-mode squeezed vacuum: amplitudes tanh^n(r)/cosh(r) on |nn>."""
+    _check_cutoff(cutoff)
     raw = np.zeros((cutoff, cutoff), dtype=complex)
     diag = np.tanh(r) ** np.arange(cutoff) / np.cosh(r)
     raw[np.arange(cutoff), np.arange(cutoff)] = diag

@@ -99,7 +99,10 @@ class GaussianState:
 
     @classmethod
     def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
-        """Wrap arrays that a gate made from a valid state, without checks."""
+        """Wrap arrays made from valid states without checks: by a gate, or by
+        exact algebra such as conditioning and averaging. Rounding in that
+        algebra can leave a strongly squeezed result a hair past the
+        uncertainty bound, which the checked constructor would refuse."""
         mean.setflags(write=False)
         cov.setflags(write=False)
         state = object.__new__(cls)

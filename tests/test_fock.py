@@ -440,6 +440,21 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             from_amplitudes(np.ones(100))
 
+    @pytest.mark.parametrize("cutoff", [0, -3])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda d: coherent_fock(0.0, d),
+            lambda d: coherent_fock(1.0, d),
+            lambda d: squeezed_vacuum_fock(0.3, d),
+            lambda d: tmsv_fock(0.3, d),
+        ],
+        ids=["coherent-vacuum", "coherent", "squeezed", "tmsv"],
+    )
+    def test_family_cutoff_out_of_range(self, build, cutoff):
+        with pytest.raises(ValueError, match=f"cutoff must be between 1 and 64, got {cutoff}"):
+            build(cutoff)
+
     def test_round_trip(self):
         st = tmsv_fock(0.5, 12)
         blob = json.dumps(st.to_json())

@@ -1,5 +1,6 @@
 """Protocol pipelines: teleportation, phase readout, state engineering."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.optimize import brentq
 
 from sqzlab import fock, protocols
 from sqzlab.fock import fidelity, from_amplitudes, overlap
-from sqzlab.gaussian import displace, squeeze, vacuum, wigner_gaussian
+from sqzlab.gaussian import GaussianState, displace, squeeze, vacuum, wigner_gaussian
 from sqzlab.homodyne import wigner_grid
 from sqzlab.protocols import (
     detection_efficiency_for_improvement,
@@ -111,6 +112,19 @@ class TestTeleportWignerCheck:
     def test_coarse_grid_reported(self):
         with pytest.warns(UserWarning, match="coarse"):
             teleport_wigner_check(vacuum(1), 1.0, [[0.0, 0.0]])
+
+    def test_wrong_channel_detected(self, monkeypatch):
+        # a closed form with 1e-3 of extra variance per quadrature must show
+        def noisier(state, r, gain=1.0):
+            result = teleport_gaussian(state, r, gain)
+            out = result.output_state
+            wrong = GaussianState(mean=out.mean, cov=out.cov + 1e-3 * np.eye(2))
+            return dataclasses.replace(result, output_state=wrong)
+
+        monkeypatch.setattr(protocols, "teleport_gaussian", noisier)
+        points, _, _ = wigner_grid(4.0, 21)
+        state = displace(vacuum(1), 0, 1.0)
+        assert teleport_wigner_check(state, 1.0, points) > 1e-4
 
 
 class TestGwPhaseReadout:

@@ -42,6 +42,8 @@ PHYSICS_CASES = {
     "no-samples": ("tomography-demo", {"n_per_phase": 0}, 0),
     "cutoff-above-limit": ("kitten", {"cutoff": 100}, 0),
     "zero-cutoff": ("herald-photon", {"cutoff": 0}, 0),
+    "kitten-zero-cutoff": ("kitten", {"cutoff": 0}, 0),
+    "superposition-zero-cutoff": ("kitten-superposition", {"cutoff": 0}, 0),
     "negative-grid-extent": ("tomography-demo", {"grid_extent": -1.0}, 0),
     "unknown-state-kind": ("tomography-demo", {"state": "thermal"}, 0),
     "negative-drift": ("spectrum-drift-demo", {"drift_amplitude": -0.75}, 0),
