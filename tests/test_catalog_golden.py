@@ -4,7 +4,8 @@
 except ``manifest.json`` (which carries a timestamp) for the 11 scenarios
 at default parameters, seed 0, in csv and json, with ``teleport-sweep`` at
 ``r_max=2.0``. The bytes depend on floating-point results, so the test
-skips when the installed numpy or scipy differs from the recorded versions.
+skips when the installed numpy differs from the recorded version (no
+output depends on scipy, which sqzlab does not import).
 
 A change that moves an output on purpose states why and by how much, then
 rewrites the file with ``PYTHONPATH=src python tests/test_catalog_golden.py``.
@@ -16,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from sqzlab.scenarios import CATALOG, ScenarioConfig, run_scenario
 
@@ -45,7 +45,7 @@ def catalog(tmp_path_factory):
 
 def test_catalog_outputs_match_golden(catalog):
     golden = json.loads(GOLDEN.read_text())
-    installed = {"numpy": np.__version__, "scipy": scipy.__version__}
+    installed = {"numpy": np.__version__}
     if golden["versions"] != installed:
         pytest.skip(f"checksums recorded with {golden['versions']}, installed {installed}")
     assert catalog[1] == golden["sha256"]
@@ -66,7 +66,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         sums = catalog_checksums(Path(tmp))
-    payload = {"versions": {"numpy": np.__version__, "scipy": scipy.__version__}, "sha256": sums}
+    payload = {"versions": {"numpy": np.__version__}, "sha256": sums}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(sums)} checksums to {GOLDEN}", file=sys.stderr)

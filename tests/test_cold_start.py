@@ -1,5 +1,6 @@
-"""Start-up cost: scipy takes about 1.3 s to import, and only the drift trace
-and its Welch spectrum need it, so nothing else may load it."""
+"""Start-up cost: scipy takes about 1.3 s to import, and no code in sqzlab
+needs it (the drift trace and its Welch spectrum are plain numpy), so no
+import and no scenario may load it."""
 
 import json
 import os
@@ -27,7 +28,7 @@ from sqzlab.scenarios import CATALOG, ScenarioConfig, run_scenario
 sqzlab.cli.main(["list"])
 loaded("sqz list")
 with tempfile.TemporaryDirectory() as tmp:
-    for name in sorted(CATALOG, key=lambda name: name == "spectrum-drift-demo"):
+    for name in sorted(CATALOG):
         params = {"r_max": 2.0} if name == "teleport-sweep" else {}
         run_scenario(ScenarioConfig(name, params, 0, str(Path(tmp) / name)))
         loaded(name)
@@ -35,7 +36,7 @@ print(json.dumps(seen))
 """
 
 
-def test_only_the_drift_scenario_loads_scipy():
+def test_no_scenario_loads_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", PROBE],
         capture_output=True,
@@ -44,5 +45,4 @@ def test_only_the_drift_scenario_loads_scipy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    # spectrum-drift-demo runs last, so it alone may (and must) see scipy loaded
-    assert json.loads(proc.stdout.splitlines()[-1]) == ["spectrum-drift-demo"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

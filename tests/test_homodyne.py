@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from sqzlab import fock
+from sqzlab import fock, homodyne
 from sqzlab.gaussian import displace, squeeze, vacuum, wigner_gaussian
 from sqzlab.homodyne import (
     PhotocurrentTrace,
@@ -272,6 +272,23 @@ class TestDriftAndSpectrum:
         assert np.array_equal(trace.values, white + drift)
 
     @pytest.mark.parametrize(
+        "samples, n_segments", [(1029, 5), (3001, 7), (4096, 4), (200000, 16), (200000, 48)]
+    )
+    def test_spectrum_is_scipy_welch_bit_for_bit(self, samples, n_segments):
+        # the reference; spectrum follows the order of operations of scipy 1.17
+        pytest.importorskip("scipy", minversion="1.17")
+        from scipy.signal import welch
+
+        trace = photocurrent_with_drift(0.4, 0.6, 2e-6, 1e6, samples * 1e-6, seed=samples)
+        assert trace.values.size == samples
+        freqs, psd = welch(
+            trace.values, fs=trace.fs, nperseg=samples // n_segments, window="hann", detrend=False
+        )
+        spec = spectrum(trace, n_segments)
+        assert np.array_equal(spec.freqs, freqs)
+        assert np.array_equal(spec.power, psd * trace.fs / 2.0)
+
+    @pytest.mark.parametrize(
         "change, message",
         [
             pytest.param({"drift_amplitude": math.nan}, "finite", id="nan-amplitude"),
@@ -316,6 +333,55 @@ class TestDriftAndSpectrum:
             trace = photocurrent_with_drift(0.5, 0.0, 1e-6, 2e6, 1e-3, seed=5000 + k)
             xp[k], _ = sideband_quadratures(trace, 3e5)
         assert np.var(xp) == pytest.approx(0.5, abs=variance_bound(0.5, reps))
+
+
+def _ar1_warm(a):
+    """Block length of _ar1's lanes; infinite at a = 1, where nothing decays."""
+    if a >= 1.0:
+        return math.inf
+    return 1 if a == 0.0 else math.ceil(homodyne._AR1_WARM_UP / -math.log(a))
+
+
+def _ar1_sizes(a):
+    """Both sides of the lanes-or-loop switch (where it is affordable), and 200k."""
+    warm = _ar1_warm(a)
+    edge = [32 * warm - 1, 32 * warm, 32 * warm + 1] if 32 * warm < 2_000_000 else []
+    return [(a, n) for n in edge + [200_000]]
+
+
+def _ar1_loop(x, a):
+    out = np.empty_like(x)
+    y = 0.0
+    for k, v in enumerate(x.tolist()):
+        y = a * y + v
+        out[k] = y
+    return out
+
+
+@pytest.mark.parametrize(
+    "a, n",
+    [
+        case
+        for a in (0.0, 0.5, math.exp(-1 / 8), 0.999, 1.0 - 1e-6, 1.0)
+        for case in _ar1_sizes(a)
+    ],
+)
+def test_ar1_is_the_sequential_loop(a, n):
+    x = np.random.default_rng(n).normal(0.0, 0.3, size=n)
+    assert np.array_equal(homodyne._ar1(x, a), _ar1_loop(x, a))
+
+
+def test_ar1_stays_exact_when_lanes_must_be_rerun(monkeypatch):
+    # a 2-time-constant warm-up (17 samples) leaves the lanes apart, so the
+    # check must catch them and rerun their blocks
+    monkeypatch.setattr(homodyne, "_AR1_WARM_UP", 2.0)
+    a = math.exp(-1 / 8)
+    warm = _ar1_warm(a)
+    x = np.random.default_rng(41).normal(size=200_000)
+    exact = _ar1_loop(x, a)
+    starts = [_ar1_loop(x[b * warm - warm : b * warm], a)[-1] for b in range(1, 100)]
+    assert np.any(np.array(starts) != exact[warm - 1 : 99 * warm : warm])
+    assert np.array_equal(homodyne._ar1(x, a), exact)
 
 
 def exact_backprojection(ds, points, kc):
