@@ -118,6 +118,13 @@ def _check_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff must be between 1 and {MAX_CUTOFF}, got {cutoff}")
 
 
+def _check_squeezing(r: float) -> None:
+    try:
+        math.cosh(r)
+    except OverflowError:
+        raise ValueError(f"squeezing |r| = {abs(r)} is out of range: cosh(r) overflows a float64") from None
+
+
 def _finalize_family(raw: np.ndarray, label: str) -> FockState:
     """Normalize a truncated analytic family and record the lost weight."""
     norm_sq = float(np.vdot(raw, raw).real)
@@ -160,6 +167,7 @@ def squeezed_vacuum_fock(r: float, cutoff: int) -> FockState:
     (-tanh r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r)).
     """
     _check_cutoff(cutoff)
+    _check_squeezing(r)
     raw = np.zeros(cutoff, dtype=complex)
     raw[0] = 1.0 / math.sqrt(math.cosh(r))
     for m in range(1, (cutoff - 1) // 2 + 1):
@@ -171,6 +179,7 @@ def squeezed_vacuum_fock(r: float, cutoff: int) -> FockState:
 def tmsv_fock(r: float, cutoff: int) -> FockState:
     """Two-mode squeezed vacuum: amplitudes tanh^n(r)/cosh(r) on |nn>."""
     _check_cutoff(cutoff)
+    _check_squeezing(r)
     raw = np.zeros((cutoff, cutoff), dtype=complex)
     diag = np.tanh(r) ** np.arange(cutoff) / np.cosh(r)
     raw[np.arange(cutoff), np.arange(cutoff)] = diag

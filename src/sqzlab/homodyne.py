@@ -435,6 +435,8 @@ def wigner_grid(extent: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Square (x, p) grid: returns (points (n*n, 2), x axis, p axis)."""
     if not (np.isfinite(extent) and extent > 0):
         raise ValueError(f"grid extent must be finite and positive, got {extent}")
+    if n < 2:
+        raise ValueError(f"grid size must be at least 2 points per axis, got {n}")
     axis = np.linspace(-extent, extent, n)
     xx, pp = np.meshgrid(axis, axis, indexing="ij")
     return np.column_stack([xx.ravel(), pp.ravel()]), axis, axis

@@ -408,14 +408,9 @@ def load_config(path) -> ScenarioConfig:
 class ValidationReport:
     ok: bool
     errors: list
-    warnings: list
 
     def describe(self) -> str:
-        lines = []
-        for e in self.errors:
-            lines.append(f"error: {e}")
-        for w in self.warnings:
-            lines.append(f"warning: {w}")
+        lines = [f"error: {e}" for e in self.errors]
         lines.append("OK" if self.ok else "INVALID")
         return "\n".join(lines)
 
@@ -424,14 +419,17 @@ def _resolve(config: ScenarioConfig) -> tuple[Scenario, dict]:
     """Decide whether a run may start: its scenario, format, seed and params.
 
     Returns the scenario and its params typed by the schema, defaults filled
-    in. Floats must be finite, ints integral and the seed a non-negative
-    integer; a boolean is none of these. Raises UnknownScenarioError or
-    SchemaError and touches no file.
+    in. Every param must be in the schema, floats finite, ints integral and
+    the seed a non-negative integer; a boolean is none of these. Raises
+    UnknownScenarioError or SchemaError and touches no file.
     """
     if config.scenario not in CATALOG:
         raise UnknownScenarioError(f"unknown scenario {config.scenario!r}")
     scenario = CATALOG[config.scenario]
     problems = []
+    unknown = sorted(set(config.params) - set(scenario.params))
+    if unknown:
+        problems.append(f"unknown params {unknown} for {config.scenario!r}")
     if config.format not in ("csv", "json"):
         problems.append(f"format must be csv or json, got {config.format!r}")
     if isinstance(config.seed, bool) or not isinstance(config.seed, numbers.Integral) or config.seed < 0:
@@ -463,11 +461,10 @@ def _resolve(config: ScenarioConfig) -> tuple[Scenario, dict]:
 def validate_config(config: ScenarioConfig) -> ValidationReport:
     """Schema report for a config without running it."""
     try:
-        scenario, _ = _resolve(config)
+        _resolve(config)
     except (UnknownScenarioError, SchemaError) as exc:
-        return ValidationReport(False, [str(exc)], [])
-    warns = [f"unknown param {key!r} ignored" for key in sorted(set(config.params) - set(scenario.params))]
-    return ValidationReport(True, [], warns)
+        return ValidationReport(False, [str(exc)])
+    return ValidationReport(True, [])
 
 
 def _sha256(path: Path) -> str:

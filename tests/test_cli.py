@@ -151,7 +151,7 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "r_max" in out and "INVALID" in out
 
-    def test_extra_key_warns_but_passes(self, tmp_path, capsys):
+    def test_unknown_param_named_and_invalid(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
             {
@@ -159,9 +159,9 @@ class TestValidate:
                 "params": {"r_max": 1.0, "wavelength": 780e-9},
             },
         )
-        assert main(["validate", path]) == 0
+        assert main(["validate", path]) == 3
         out = capsys.readouterr().out
-        assert "wavelength" in out and "warning" in out
+        assert "unknown params ['wavelength']" in out and out.rstrip().endswith("INVALID")
 
     def test_unknown_scenario_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": "frobnicate"})

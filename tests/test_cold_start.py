@@ -1,6 +1,8 @@
-"""Start-up cost: scipy takes about 1.3 s to import, and no code in sqzlab
-needs it (the drift trace and its Welch spectrum are plain numpy), so no
-import and no scenario may load it."""
+"""Start-up and exit cost. scipy takes about 1.3 s to import, and no code
+in sqzlab needs it (the drift trace and its Welch spectrum are plain
+numpy), so no import and no scenario may load it. A CLI process freezes
+its heap at exit, so the interpreter's final collections skip it; a
+process that only imports sqzlab does not."""
 
 import json
 import os
@@ -46,3 +48,38 @@ def test_no_scenario_loads_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+# Registered before anything else, so it runs last (atexit is last-in,
+# first-out) and sees what the handlers registered after it did.
+EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("freeze count at exit:", gc.get_freeze_count()))
+"""
+
+
+def _run_exit_probe(body):
+    """stdout lines before the probe's, and the freeze count it saw."""
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE + body],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *printed, last = proc.stdout.splitlines()
+    return printed, int(last.rsplit(" ", 1)[1])
+
+
+def test_cli_process_freezes_its_heap_at_exit(tmp_path):
+    out = tmp_path / "out"
+    body = f"import sqzlab.cli\nsys.exit(sqzlab.cli.main(['run', 'loss-sweep', '--out', {str(out)!r}]))\n"
+    printed, frozen = _run_exit_probe(body)
+    assert printed == [f"wrote {out}/ (manifest: manifest.json)"]
+    assert (out / "manifest.json").is_file()
+    assert frozen > 0
+
+
+def test_import_sqzlab_does_not_freeze_at_exit():
+    assert _run_exit_probe("import sqzlab\n") == ([], 0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,14 @@ class TestValidationAndSerialization:
     def test_family_cutoff_out_of_range(self, build, cutoff):
         with pytest.raises(ValueError, match=f"cutoff must be between 1 and 64, got {cutoff}"):
             build(cutoff)
+
+    @pytest.mark.parametrize("r", [711.0, -1e3])
+    @pytest.mark.parametrize("build", [squeezed_vacuum_fock, tmsv_fock], ids=["squeezed", "tmsv"])
+    def test_family_squeezing_beyond_cosh_overflow(self, build, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on the way
+            with pytest.raises(ValueError, match=rf"\|r\| = {abs(r)} is out of range"):
+                build(r, 12)
 
     def test_round_trip(self):
         st = tmsv_fock(0.5, 12)

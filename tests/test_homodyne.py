@@ -626,3 +626,9 @@ def test_evaluators_reject_bad_grid_points(name, grid, message):
 def test_wigner_grid_rejects_bad_extent(extent):
     with pytest.raises(ValueError, match="extent must be finite and positive"):
         wigner_grid(extent, 3)
+
+
+@pytest.mark.parametrize("n", [1, 0, -4])
+def test_wigner_grid_rejects_fewer_than_two_points(n):
+    with pytest.raises(ValueError, match=f"at least 2 points per axis, got {n}"):
+        wigner_grid(3.0, n)

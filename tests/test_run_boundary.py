@@ -37,6 +37,7 @@ SCHEMA_CASES = {
     "bool-int": ("loss-sweep", {"t_steps": True}, 0),
     "bool-float": ("loss-sweep", {"r": False}, 0),
     "bool-seed-and-params": ("loss-sweep", {"t_steps": True, "r": False}, True),
+    "unknown-param": ("kitten", {"alpha": 1e300}, 0),
 }
 PHYSICS_CASES = {
     "no-samples": ("tomography-demo", {"n_per_phase": 0}, 0),
@@ -48,6 +49,12 @@ PHYSICS_CASES = {
     "unknown-state-kind": ("tomography-demo", {"state": "thermal"}, 0),
     "negative-drift": ("spectrum-drift-demo", {"drift_amplitude": -0.75}, 0),
     "coarse-surface": ("tomography-demo", {"state": "vacuum", "n_phases": 12, "n_per_phase": 20, "grid_extent": 1.0, "grid_n": 3}, 0),
+    "empty-grid": ("tomography-demo", {"grid_n": 0}, 0),
+    "one-point-grid": ("tomography-demo", {"grid_n": 1}, 0),
+    "kitten-cosh-overflow": ("kitten", {"r": 711.0}, 0),
+    "superposition-cosh-overflow": ("kitten-superposition", {"r": 711.0}, 0),
+    "herald-cosh-overflow": ("herald-photon", {"r": 711.0}, 0),
+    "herald-negative-cosh-overflow": ("herald-photon", {"r": -1e3}, 0),
 }
 
 
@@ -99,18 +106,30 @@ def test_failed_run_keeps_existing_directory_as_it_was(case, tmp_path):
     assert (keep / "notes.txt").read_text() == "kept"
 
 
-def test_command_line_nan_is_one_line_without_traceback(tmp_path):
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "sqzlab.cli", "run", "loss-sweep", "--param", "r=nan", "--out", str(out)],
+def _sqz_run(scenario, param, out):
+    """`sqz run` in a fresh interpreter, where warnings reach stderr unfiltered."""
+    return subprocess.run(
+        [sys.executable, "-m", "sqzlab.cli", "run", scenario, "--param", param, "--out", str(out)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         timeout=120,
     )
+
+
+def test_command_line_nan_is_one_line_without_traceback(tmp_path):
+    proc = _sqz_run("loss-sweep", "r=nan", tmp_path / "out")
     assert proc.returncode == 3
     assert proc.stderr == "error: param 'r': nan is not finite\n"
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("r", ["711", "-1e3"])
+def test_command_line_cosh_overflow_is_one_line_without_numpy_warnings(r, tmp_path):
+    proc = _sqz_run("herald-photon", f"r={r}", tmp_path / "out")
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: squeezing |r| = {abs(float(r))} is out of range: cosh(r) overflows a float64\n"
+    assert not (tmp_path / "out").exists()
 
 
 # -- valid runs are reproducible ---------------------------------------------------
