@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 unknown scenario or usage error (--param, --seed
 or --format with a config file, which only --out overrides), 3 rejected
 input: a schema violation (no param the scenario does not define, floats
-finite, ints integral, the seed a non-negative integer) or a parameter
-the physics rejects, 4 file-system failure. Every error is one line on
+finite, ints integral, the seed a non-negative integer), a parameter
+the physics rejects or a Fock cutoff that clips a state by more than
+fock.LEAK_TOLERANCE, 4 file-system failure. Every error is one line on
 stderr. A failed run removes only the directories it created.
 """
 
@@ -17,13 +18,15 @@ import gc
 import sys
 from pathlib import Path
 
+from .fock import TruncationWarning
 from .scenarios import (
     CATALOG,
     ScenarioConfig,
+    SchemaError,
     UnknownScenarioError,
     load_config,
+    resolve,
     run_scenario,
-    validate_config,
 )
 
 # At shutdown CPython runs several full collections over the whole heap,
@@ -87,11 +90,13 @@ def _cmd_list() -> int:
 
 
 def _cmd_validate(config: ScenarioConfig) -> int:
-    report = validate_config(config)
-    print(report.describe())
-    if report.ok:
-        return EXIT_OK
-    return EXIT_SCHEMA if config.scenario in CATALOG else EXIT_UNKNOWN_SCENARIO
+    try:
+        resolve(config)
+    except (UnknownScenarioError, SchemaError) as exc:
+        print(f"error: {exc}\nINVALID")
+        return EXIT_SCHEMA if isinstance(exc, SchemaError) else EXIT_UNKNOWN_SCENARIO
+    print("OK")
+    return EXIT_OK
 
 
 def _cmd_run(args) -> int:
@@ -125,7 +130,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("run `sqz list` to see the catalog", file=sys.stderr)
         return EXIT_UNKNOWN_SCENARIO
-    except ValueError as exc:
+    except (ValueError, TruncationWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as exc:

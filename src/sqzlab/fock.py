@@ -50,7 +50,9 @@ class FockState:
     Attributes
     ----------
     amps : complex ndarray, shape (d,) * n_modes
-        Normalized amplitudes; amps[n1, ..., nN] multiplies |n1 ... nN>.
+        Normalized amplitudes (the constructor refuses |norm^2 - 1| > 1e-9,
+        so readers need not divide by the norm); amps[n1, ..., nN]
+        multiplies |n1 ... nN>.
     norm_leak : float
         Weight lost to truncation relative to the untruncated analytic
         family the state was built from (0 for states built from explicit
@@ -69,8 +71,8 @@ class FockState:
             raise ValueError("all modes must share the same cutoff")
         _check_cutoff(d)
         norm_sq = float(np.vdot(amps, amps).real)
-        if not 0.0 < norm_sq <= 1.0 + 1e-9:
-            raise ValueError(f"state norm^2 = {norm_sq:.6g} outside (0, 1]")
+        if not abs(norm_sq - 1.0) <= 1e-9:  # NaN fails too
+            raise ValueError(f"state norm^2 = {norm_sq:.8g}, not normalized to within 1e-9")
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "norm_leak", float(self.norm_leak))
 
@@ -119,6 +121,8 @@ def _check_cutoff(cutoff: int) -> None:
 
 
 def _check_squeezing(r: float) -> None:
+    if not math.isfinite(r):
+        raise ValueError(f"squeezing r must be finite, got {r}")
     try:
         math.cosh(r)
     except OverflowError:
@@ -440,13 +444,11 @@ def reduced_density_matrix(state: FockState, mode: int) -> np.ndarray:
     """Single-mode reduced density matrix (d x d), trace-normalized."""
     _check_modes(state, mode)
     amps = np.moveaxis(np.asarray(state.amps), mode, 0).reshape(state.cutoff, -1)
-    rho = amps @ amps.conj().T
-    return rho / np.trace(rho).real
+    return amps @ amps.conj().T
 
 
 def mean_photon_number(state: FockState, mode: int) -> float:
-    probs = branch_probabilities(state, mode)
-    return float(np.sum(np.arange(state.cutoff) * probs) / np.sum(probs))
+    return float(np.arange(state.cutoff) @ branch_probabilities(state, mode))
 
 
 def photon_parity(state: FockState, mode: int) -> float:
@@ -465,24 +467,22 @@ def quadrature_mean_and_cov(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     d, n = state.cutoff, state.n_modes
     x_mat, p_mat = quadrature_matrices(d)
     amps = np.asarray(state.amps)
-    norm_sq = float(np.vdot(amps, amps).real)
     vectors = []
     for mode in range(n):
         vectors.append(_apply_single_mode(amps, x_mat, mode))
         vectors.append(_apply_single_mode(amps, p_mat, mode))
-    mean = np.array([np.vdot(amps, v).real for v in vectors]) / norm_sq
+    mean = np.array([np.vdot(amps, v).real for v in vectors])
     cov = np.empty((2 * n, 2 * n))
     for i in range(2 * n):
         for j in range(i, 2 * n):
-            second = np.vdot(vectors[i], vectors[j]).real / norm_sq
+            second = np.vdot(vectors[i], vectors[j]).real
             cov[i, j] = cov[j, i] = second - mean[i] * mean[j]
     return mean, cov
 
 
 def _pure_mode_vector(state: FockState, mode: int) -> np.ndarray:
     if state.n_modes == 1:
-        v = np.asarray(state.amps)
-        return v / np.linalg.norm(v)
+        return np.asarray(state.amps)
     rho = reduced_density_matrix(state, mode)
     vals, vecs = np.linalg.eigh(rho)
     if vals[-1] < 1.0 - 1e-9:

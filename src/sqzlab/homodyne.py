@@ -136,22 +136,14 @@ def _fock_marginal(state: FockState, mode: int, xs: np.ndarray):
     """
     d = state.cutoff
     amps = np.moveaxis(np.asarray(state.amps), mode, 0).reshape(d, -1)
-    norm_sq = float(np.vdot(amps, amps).real)
     waves = hermite_functions(d, xs)
 
     def pdf(theta: float) -> np.ndarray:
         rotated = amps * np.exp(-1j * theta * np.arange(d))[:, None]
         branches = waves.T @ rotated
-        return np.einsum("xk,xk->x", branches, branches.conj()).real / norm_sq
+        return np.einsum("xk,xk->x", branches, branches.conj()).real
 
     return pdf
-
-
-def _check_normalized(state):
-    if isinstance(state, FockState):
-        norm_sq = float(np.vdot(state.amps, state.amps).real)
-        if abs(norm_sq - 1.0) > 1e-6:
-            raise ValueError(f"state norm^2 = {norm_sq:.8g}, not normalized")
 
 
 def sample_quadratures(
@@ -162,7 +154,6 @@ def sample_quadratures(
     Each phase gets its own deterministic child generator, so results do
     not depend on evaluation order.
     """
-    _check_normalized(state)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if n_per_theta < 1:
         raise ValueError("n_per_theta must be positive")

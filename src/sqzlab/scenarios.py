@@ -1,9 +1,10 @@
 """Scenario catalog: reproducible command-line experiments.
 
-Each scenario maps library operations to files on disk (CSV tables, state
-JSON, plus a manifest with config echo and output checksums). Outputs are
-byte-identical for a fixed config and seed; wall-clock timestamps appear
-only in the manifest.
+Each scenario's runner maps library operations to outputs in memory: CSV or
+JSON tables and, for the state-engineering runners, a state JSON payload.
+`run_scenario` alone writes them, plus a manifest with config echo and
+output checksums. Outputs are byte-identical for a fixed config and seed;
+wall-clock timestamps appear only in the manifest.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numbers
 import os
 import shutil
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -57,7 +59,7 @@ class ScenarioConfig:
 class Scenario:
     description: str
     params: dict
-    runner: object  # callable(params, seed, outdir, fmt) -> list[Path]
+    runner: object  # callable(params, seed) -> {stem: (header, columns) | payload dict for stem.json}
 
 
 def _write_json(path: Path, payload: dict) -> Path:
@@ -65,26 +67,30 @@ def _write_json(path: Path, payload: dict) -> Path:
     return path
 
 
+def _quantities(values: dict) -> tuple:
+    """A two-column table of named scalars, in the order given."""
+    return ["quantity", "value"], [list(values), list(values.values())]
+
+
 # -- runners -------------------------------------------------------------------
 
 
-def _run_loss_sweep(p, seed, outdir, fmt):
+def _run_loss_sweep(p, seed):
     sq = squeeze(vacuum(1), 0, p["r"])
     ts = np.linspace(p["t_start"], p["t_stop"], p["t_steps"])
     var = [quadrature_variance(loss_channel(sq, 0, float(t)), 0, 0.0) for t in ts]
     columns = [ts, var, [squeezing_db(v) for v in var]]
-    return [write_table(outdir / "loss_sweep", ["transmissivity", "var_x", "squeezing_db"], columns, fmt)]
+    return {"loss_sweep": (["transmissivity", "var_x", "squeezing_db"], columns)}
 
 
-def _run_opa_spectrum(p, seed, outdir, fmt):
+def _run_opa_spectrum(p, seed):
     opa = devices.OpaConfig(gamma=p["gamma_hz"], eta=p["eta"], pump_ratio=p["pump_ratio"])
     freqs = np.linspace(p["nu_min_hz"], p["nu_max_hz"], p["n_points"])
     spec = devices.opa_spectrum(opa, freqs)
-    columns = [spec.freqs, spec.v_plus, spec.v_minus]
-    return [write_table(outdir / "opa_spectrum", ["freq_hz", "v_plus", "v_minus"], columns, fmt)]
+    return {"opa_spectrum": (["freq_hz", "v_plus", "v_minus"], [spec.freqs, spec.v_plus, spec.v_minus])}
 
 
-def _run_ppktp_estimate(p, seed, outdir, fmt):
+def _run_ppktp_estimate(p, seed):
     crystal = devices.CrystalConfig(
         chi_eff=p["chi_eff_m_per_v"],
         refractive_index=p["refractive_index"],
@@ -93,15 +99,15 @@ def _run_ppktp_estimate(p, seed, outdir, fmt):
     )
     pump = devices.PumpConfig(power=p["power_w"], waist_radius=p["waist_m"])
     intensity, amplitude = devices.pump_field_amplitude(pump, crystal)
-    rows = [
-        ["pump_intensity_w_per_m2", intensity],
-        ["pump_amplitude_v_per_m", amplitude],
-        ["single_pass_r", devices.single_pass_r(crystal, pump)],
-    ]
-    return [write_table(outdir / "ppktp_estimate", ["quantity", "value"], zip(*rows), fmt)]
+    values = {
+        "pump_intensity_w_per_m2": intensity,
+        "pump_amplitude_v_per_m": amplitude,
+        "single_pass_r": devices.single_pass_r(crystal, pump),
+    }
+    return {"ppktp_estimate": _quantities(values)}
 
 
-def _run_cavity_figures(p, seed, outdir, fmt):
+def _run_cavity_figures(p, seed):
     fig = devices.cavity_figures(
         devices.CavityConfig(
             roundtrip_length=p["length_m"],
@@ -109,14 +115,14 @@ def _run_cavity_figures(p, seed, outdir, fmt):
             output_coupler_T=p["coupler_t"],
         )
     )
-    rows = [
-        ["fsr_hz", fig.fsr],
-        ["finesse", fig.finesse],
-        ["gamma_hz", fig.gamma],
-        ["fwhm_hz", 2.0 * fig.gamma],
-        ["escape_efficiency", fig.escape_efficiency],
-    ]
-    return [write_table(outdir / "cavity_figures", ["quantity", "value"], zip(*rows), fmt)]
+    values = {
+        "fsr_hz": fig.fsr,
+        "finesse": fig.finesse,
+        "gamma_hz": fig.gamma,
+        "fwhm_hz": 2.0 * fig.gamma,
+        "escape_efficiency": fig.escape_efficiency,
+    }
+    return {"cavity_figures": _quantities(values)}
 
 
 def _tomography_state(p):
@@ -136,7 +142,7 @@ def _tomography_state(p):
     raise SchemaError(f"param 'state': unknown state kind {kind!r}")
 
 
-def _run_tomography_demo(p, seed, outdir, fmt):
+def _run_tomography_demo(p, seed):
     state = _tomography_state(p)
     thetas = np.linspace(0.0, np.pi, p["n_phases"], endpoint=False)
     data = homodyne.sample_quadratures(state, 0, thetas, p["n_per_phase"], seed=seed)
@@ -144,23 +150,22 @@ def _run_tomography_demo(p, seed, outdir, fmt):
     cutoff = p["filter_cutoff"] if p["filter_cutoff"] > 0 else None
     w = homodyne.reconstruct_wigner(data, points, filter_cutoff=cutoff)
     v_min, v_max, phi_min = homodyne.variance_profile(data)
-    # every check runs before the first write, so a rejected surface writes nothing
-    rows = [
-        ["profile_v_min", v_min],
-        ["profile_v_max", v_max],
-        ["profile_phi_min", phi_min],
-        ["axis_ratio", homodyne.wigner_axis_ratio(data, points, w)],
-        ["w_peak", float(np.max(w))],
-        ["w_min", float(np.min(w))],
-    ]
-    return [
-        write_table(outdir / "dataset", ["theta", "x"], [data.thetas, data.xs], fmt),
-        write_table(outdir / "wigner", ["x", "p", "w"], [*points.T, w], fmt),
-        write_table(outdir / "summary", ["quantity", "value"], zip(*rows), fmt),
-    ]
+    summary = {
+        "profile_v_min": v_min,
+        "profile_v_max": v_max,
+        "profile_phi_min": phi_min,
+        "axis_ratio": homodyne.wigner_axis_ratio(data, points, w),
+        "w_peak": float(np.max(w)),
+        "w_min": float(np.min(w)),
+    }
+    return {
+        "dataset": (["theta", "x"], [data.thetas, data.xs]),
+        "wigner": (["x", "p", "w"], [*points.T, w]),
+        "summary": _quantities(summary),
+    }
 
 
-def _run_spectrum_drift_demo(p, seed, outdir, fmt):
+def _run_spectrum_drift_demo(p, seed):
     trace = homodyne.photocurrent_with_drift(
         quad_variance=p["quad_variance"],
         drift_amplitude=p["drift_amplitude"],
@@ -171,55 +176,48 @@ def _run_spectrum_drift_demo(p, seed, outdir, fmt):
         electronic_noise_variance=p["electronic_noise_variance"],
     )
     spec = homodyne.spectrum(trace, n_segments=p["n_segments"])
-    files = [write_table(outdir / "spectrum", ["freq_hz", "power"], [spec.freqs, spec.power], fmt)]
     nyquist = trace.fs / 2.0
-    summary = [
-        ["time_domain_variance", float(np.var(trace.values))],
-        ["band_floor_above_1mhz", spec.band_mean(min(1e6, 0.5 * nyquist), nyquist)],
-        ["sql_variance", homodyne.SQL_VARIANCE],
-    ]
-    files.append(write_table(outdir / "summary", ["quantity", "value"], zip(*summary), fmt))
-    return files
+    summary = {
+        "time_domain_variance": float(np.var(trace.values)),
+        "band_floor_above_1mhz": spec.band_mean(min(1e6, 0.5 * nyquist), nyquist),
+        "sql_variance": homodyne.SQL_VARIANCE,
+    }
+    return {"spectrum": (["freq_hz", "power"], [spec.freqs, spec.power]), "summary": _quantities(summary)}
 
 
-def _run_teleport_sweep(p, seed, outdir, fmt):
+def _run_teleport_sweep(p, seed):
     rs = np.linspace(p["r_min"], p["r_max"], p["n_steps"])
     results = [protocols.teleport_gaussian(vacuum(1), float(r), gain=p["gain"]) for r in rs]
     columns = [rs, [x.coherent_fidelity for x in results], [x.added_noise_per_quadrature for x in results]]
-    return [write_table(outdir / "teleport_sweep", ["r", "fidelity", "added_noise"], columns, fmt)]
+    return {"teleport_sweep": (["r", "fidelity", "added_noise"], columns)}
 
 
-def _run_gw_snr_sweep(p, seed, outdir, fmt):
+def _run_gw_snr_sweep(p, seed):
     rows = []
     for r in np.linspace(p["r_min"], p["r_max"], p["n_r"]):
         for eta in np.linspace(p["eta_min"], p["eta_max"], p["n_eta"]):
             est = protocols.gw_phase_readout(p["phi"], p["alpha"], float(r), float(eta))
             rows.append([float(r), float(eta), est.snr, est.phi_min_detectable])
     columns = np.reshape(rows, (-1, 4)).T  # four columns even when the sweep is empty
-    return [write_table(outdir / "gw_snr_sweep", ["r", "eta", "snr", "phi_min"], columns, fmt)]
+    return {"gw_snr_sweep": (["r", "eta", "snr", "phi_min"], columns)}
 
 
-def _engineering_outputs(outdir, fmt, state, table_rows):
-    state_path = _write_json(outdir / "state.json", state.to_json())
-    return [state_path, write_table(outdir / "result", ["quantity", "value"], zip(*table_rows), fmt)]
-
-
-def _run_herald_photon(p, seed, outdir, fmt):
+def _run_herald_photon(p, seed):
     state, prob = protocols.make_heralded_photon(p["r"], p["cutoff"])
     one = np.zeros(p["cutoff"])
     one[1] = 1.0
     fid = fock.fidelity(state, fock.from_amplitudes(one))
-    rows = [["click_probability", float(prob)], ["fidelity_vs_single_photon", float(fid)]]
-    return _engineering_outputs(outdir, fmt, state, rows)
+    values = {"click_probability": float(prob), "fidelity_vs_single_photon": float(fid)}
+    return {"state": state.to_json(), "result": _quantities(values)}
 
 
-def _run_kitten(p, seed, outdir, fmt):
+def _run_kitten(p, seed):
     state, prob, fid = protocols.make_kitten(p["r"], p["cutoff"], p["rho"])
-    rows = [["click_probability", float(prob)], ["fidelity_vs_odd_kitten", float(fid)]]
-    return _engineering_outputs(outdir, fmt, state, rows)
+    values = {"click_probability": float(prob), "fidelity_vs_odd_kitten": float(fid)}
+    return {"state": state.to_json(), "result": _quantities(values)}
 
 
-def _run_kitten_superposition(p, seed, outdir, fmt):
+def _run_kitten_superposition(p, seed):
     alpha = complex(p["ancilla_re"], p["ancilla_im"])
     state = protocols.engineer_kitten_superposition(
         p["r"], alpha, p["rho_tap"], p["rho_mix"], p["cutoff"]
@@ -227,13 +225,13 @@ def _run_kitten_superposition(p, seed, outdir, fmt):
     amp = np.sqrt(p["r"])
     even = fock.overlap(protocols.ideal_even_kitten(amp, p["cutoff"]), state)
     odd = fock.overlap(protocols.ideal_odd_kitten(amp, p["cutoff"]), state)
-    rows = [
-        ["even_overlap_re", float(even.real)],
-        ["even_overlap_im", float(even.imag)],
-        ["odd_overlap_re", float(odd.real)],
-        ["odd_overlap_im", float(odd.imag)],
-    ]
-    return _engineering_outputs(outdir, fmt, state, rows)
+    values = {
+        "even_overlap_re": float(even.real),
+        "even_overlap_im": float(even.imag),
+        "odd_overlap_re": float(odd.real),
+        "odd_overlap_im": float(odd.imag),
+    }
+    return {"state": state.to_json(), "result": _quantities(values)}
 
 
 CATALOG: dict[str, Scenario] = {}
@@ -404,24 +402,14 @@ def load_config(path) -> ScenarioConfig:
     )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    errors: list
-
-    def describe(self) -> str:
-        lines = [f"error: {e}" for e in self.errors]
-        lines.append("OK" if self.ok else "INVALID")
-        return "\n".join(lines)
-
-
-def _resolve(config: ScenarioConfig) -> tuple[Scenario, dict]:
+def resolve(config: ScenarioConfig) -> tuple[Scenario, dict]:
     """Decide whether a run may start: its scenario, format, seed and params.
 
     Returns the scenario and its params typed by the schema, defaults filled
     in. Every param must be in the schema, floats finite, ints integral and
     the seed a non-negative integer; a boolean is none of these. Raises
-    UnknownScenarioError or SchemaError and touches no file.
+    UnknownScenarioError or SchemaError and touches no file. `run_scenario`
+    and `sqz validate` both decide by this call.
     """
     if config.scenario not in CATALOG:
         raise UnknownScenarioError(f"unknown scenario {config.scenario!r}")
@@ -458,15 +446,6 @@ def _resolve(config: ScenarioConfig) -> tuple[Scenario, dict]:
     return scenario, params
 
 
-def validate_config(config: ScenarioConfig) -> ValidationReport:
-    """Schema report for a config without running it."""
-    try:
-        _resolve(config)
-    except (UnknownScenarioError, SchemaError) as exc:
-        return ValidationReport(False, [str(exc)])
-    return ValidationReport(True, [])
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     h.update(path.read_bytes())
@@ -474,20 +453,29 @@ def _sha256(path: Path) -> str:
 
 
 def run_scenario(config: ScenarioConfig) -> Path:
-    """Run one scenario; returns the manifest path.
+    """Run one scenario, then write its outputs and manifest; returns the manifest path.
 
-    Raises UnknownScenarioError / SchemaError before touching the file
-    system. Any other error, such as a ValueError from the physics or an
-    OSError from I/O, propagates after removing the directories this run
+    The runner computes every output before the first directory is made,
+    so UnknownScenarioError, SchemaError, a ValueError from the physics and
+    a fock.TruncationWarning (raised as an error when a cutoff clips a
+    state) all leave the file system untouched. An error while writing,
+    such as an OSError, propagates after removing the directories this run
     created; a directory that existed before the run is left in place.
     """
-    scenario, params = _resolve(config)
+    scenario, params = resolve(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", fock.TruncationWarning)
+        outputs = scenario.runner(params, config.seed)
     outdir = Path(config.output_dir) if config.output_dir else default_output_dir(config.scenario)
     # the topmost directory that this run creates, if any
     created = next((d for d in reversed((outdir, *outdir.parents)) if not d.exists()), None)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        files = scenario.runner(params, config.seed, outdir, config.format)
+        files = [
+            _write_json(outdir / f"{stem}.json", out) if isinstance(out, dict)
+            else write_table(outdir / stem, *out, config.format)
+            for stem, out in outputs.items()
+        ]
         manifest = {
             "scenario": config.scenario,
             "params": params,
@@ -497,8 +485,7 @@ def run_scenario(config: ScenarioConfig) -> Path:
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "outputs": {f.name: _sha256(f) for f in files},
         }
-        manifest_path = outdir / "manifest.json"
-        _write_json(manifest_path, manifest)
+        manifest_path = _write_json(outdir / "manifest.json", manifest)
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)

@@ -11,9 +11,10 @@ from sqzlab.cli import main
 from sqzlab.scenarios import (
     CATALOG,
     ScenarioConfig,
+    SchemaError,
     load_config,
+    resolve,
     run_scenario,
-    validate_config,
 )
 
 ALL_DEFAULTED = [name for name, s in CATALOG.items() if not any(p.required for p in s.params.values())]
@@ -135,6 +136,20 @@ class TestRunScenario:
         manifest_path = run_scenario(config)
         assert manifest_path.exists()
 
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_runner_computes_and_writes_nothing(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        scenario, params = resolve(ScenarioConfig(name, {"r_max": 2.0} if name == "teleport-sweep" else {}))
+        outputs = scenario.runner(params, 0)
+        assert list(tmp_path.iterdir()) == []
+        assert outputs
+        for out in outputs.values():
+            if isinstance(out, dict):
+                assert out["version"] == "fstate-v1"
+            else:
+                header, columns = out
+                assert len(header) == len(columns)
+
 
 class TestValidate:
     def test_valid_config_ok(self, tmp_path, capsys):
@@ -168,9 +183,8 @@ class TestValidate:
         assert main(["validate", path]) == 2
 
     def test_report_object(self):
-        report = validate_config(ScenarioConfig(scenario="loss-sweep", params={"r": "x"}))
-        assert not report.ok
-        assert any("cannot convert" in e for e in report.errors)
+        with pytest.raises(SchemaError, match="cannot convert"):
+            resolve(ScenarioConfig(scenario="loss-sweep", params={"r": "x"}))
 
 
 class TestCliMain:

@@ -464,6 +464,14 @@ class TestValidationAndSerialization:
             with pytest.raises(ValueError, match=rf"\|r\| = {abs(r)} is out of range"):
                 build(r, 12)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [squeezed_vacuum_fock, tmsv_fock], ids=["squeezed", "tmsv"])
+    def test_family_non_finite_squeezing_names_r(self, build, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy invalid-value warning on the way
+            with pytest.raises(ValueError, match=f"squeezing r must be finite, got {r}"):
+                build(r, 6)
+
     def test_round_trip(self):
         st = tmsv_fock(0.5, 12)
         blob = json.dumps(st.to_json())

@@ -78,9 +78,9 @@ class TestSampler:
         np.testing.assert_array_equal(a.xs, b.xs)
 
     def test_unnormalized_state_rejected(self):
-        bad = fock.FockState(amps=np.array([0.5, 0.0, 0.0], dtype=complex))
+        # the sampler reads the amplitudes as given: FockState refuses any other norm
         with pytest.raises(ValueError, match="normalized"):
-            sample_quadratures(bad, 0, [0.0], 10, seed=0)
+            fock.FockState(amps=np.array([0.5, 0.0, 0.0], dtype=complex))
 
     @pytest.mark.parametrize("entangled", [False, True])
     def test_fock_sampler_is_inverse_cdf_of_pdf(self, entangled):

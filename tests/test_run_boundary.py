@@ -55,6 +55,8 @@ PHYSICS_CASES = {
     "superposition-cosh-overflow": ("kitten-superposition", {"r": 711.0}, 0),
     "herald-cosh-overflow": ("herald-photon", {"r": 711.0}, 0),
     "herald-negative-cosh-overflow": ("herald-photon", {"r": -1e3}, 0),
+    "kitten-clipped-by-cutoff": ("kitten", {"r": 40.0}, 0),
+    "herald-leak-above-tolerance": ("herald-photon", {"cutoff": 2}, 0),
 }
 
 
@@ -129,6 +131,13 @@ def test_command_line_cosh_overflow_is_one_line_without_numpy_warnings(r, tmp_pa
     proc = _sqz_run("herald-photon", f"r={r}", tmp_path / "out")
     assert proc.returncode == 3
     assert proc.stderr == f"error: squeezing |r| = {abs(float(r))} is out of range: cosh(r) overflows a float64\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_command_line_clipped_state_is_one_line_without_truncation_warnings(tmp_path):
+    proc = _sqz_run("kitten", "r=40", tmp_path / "out")
+    assert proc.returncode == 3
+    assert proc.stderr == "error: squeezed_vacuum_fock: cutoff 20 loses weight 1; increase the cutoff\n"
     assert not (tmp_path / "out").exists()
 
 
