@@ -4,70 +4,47 @@ Two interoperable state engines (exact Gaussian moments and a truncated
 photon-number basis), a homodyne measurement layer with Wigner tomography,
 parametric-device models, and protocol pipelines for teleportation, phase
 estimation and conditional state engineering.
+
+The package exports every public function and class that one of its five
+layers defines. A layer is imported when one of its names is first read,
+so `import sqzlab` alone loads none of them (PEP 562).
 """
+
+from importlib import import_module as _import_module
+from types import FunctionType as _FunctionType
 
 __version__ = "0.1.0"
 
-from .gaussian import (
-    GaussianState,
-    beam_splitter,
-    displace,
-    infer_effective_loss,
-    loss_channel,
-    quadrature_variance,
-    rotate,
-    squeeze,
-    squeezing_db,
-    two_mode_squeeze,
-    vacuum,
-    wigner_gaussian,
-)
-from .fock import (
-    FockState,
-    apply_annihilation,
-    beam_splitter_fock,
-    coherent_fock,
-    displace_fock,
-    fidelity,
-    herald_click,
-    squeezed_vacuum_fock,
-    suggest_cutoff,
-    tmsv_fock,
-    wigner_fock,
-)
-from .homodyne import (
-    NoiseSpectrum,
-    PhotocurrentTrace,
-    PowerSpectrum,
-    QuadratureDataset,
-    matched_filter_quadrature,
-    photocurrent_with_drift,
-    quadrature_pdf,
-    reconstruct_wigner,
-    sample_quadratures,
-    sideband_quadratures,
-    spectrum,
-    wigner_grid,
-)
-from .devices import (
-    CavityConfig,
-    CrystalConfig,
-    OpaConfig,
-    PumpConfig,
-    cavity_figures,
-    effective_gaussian_state,
-    opa_spectrum,
-    pump_field_amplitude,
-    single_pass_r,
-)
-from .protocols import (
-    PhaseEstimate,
-    TeleportResult,
-    detection_efficiency_for_improvement,
-    engineer_kitten_superposition,
-    gw_phase_readout,
-    make_heralded_photon,
-    make_kitten,
-    teleport_gaussian,
-    teleport_wigner_check,
-)
+# searched in this order; no name is defined by two layers
+_LAYERS = ("gaussian", "fock", "homodyne", "devices", "protocols")
+# `from sqzlab import fock` asks for these first; a search would import every layer
+_SUBMODULES = frozenset(_LAYERS + ("scenarios", "cli"))
+
+
+def _defines(module, name: str) -> bool:
+    obj = getattr(module, name, None)
+    return isinstance(obj, (type, _FunctionType)) and obj.__module__ == module.__name__
+
+
+def _exports() -> list[str]:
+    names = []
+    for layer in _LAYERS:
+        module = _import_module(f"{__name__}.{layer}")
+        names += [name for name in vars(module) if name[0] != "_" and _defines(module, name)]
+    return names
+
+
+def __getattr__(name: str):
+    if name == "__all__":  # read by `from sqzlab import *`
+        return _exports()
+    if not name.startswith("_") and name not in _SUBMODULES:
+        for layer in _LAYERS:
+            module = _import_module(f"{__name__}.{layer}")
+            if _defines(module, name):
+                globals()[name] = value = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_exports()))

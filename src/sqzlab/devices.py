@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState
-from .homodyne import NoiseSpectrum
+from .gaussian import GaussianState, _readonly
 
 # CODATA 2022 values, as scipy.constants ships them (c and epsilon_0)
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -142,6 +141,29 @@ def cavity_figures(cavity: CavityConfig) -> CavityFigures:
             / (cavity.output_coupler_T + cavity.roundtrip_loss_excl_coupler)
         ),
     )
+
+
+@dataclass(frozen=True)
+class NoiseSpectrum:
+    """Squeezed / antisqueezed variance curves V-(nu) <= V+(nu) on a grid."""
+
+    freqs: np.ndarray
+    v_plus: np.ndarray
+    v_minus: np.ndarray
+
+    def __post_init__(self):
+        freqs = _readonly(self.freqs)
+        v_plus = _readonly(self.v_plus)
+        v_minus = _readonly(self.v_minus)
+        if not (freqs.shape == v_plus.shape == v_minus.shape):
+            raise ValueError("freqs, v_plus, v_minus must have matching shapes")
+        if np.any(v_minus <= 0):
+            raise ValueError("v_minus must be positive")
+        if np.any(v_plus < v_minus * (1.0 - 1e-12)):
+            raise ValueError("v_plus must dominate v_minus")
+        object.__setattr__(self, "freqs", freqs)
+        object.__setattr__(self, "v_plus", v_plus)
+        object.__setattr__(self, "v_minus", v_minus)
 
 
 def opa_spectrum(opa: OpaConfig, freqs) -> NoiseSpectrum:

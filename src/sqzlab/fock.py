@@ -129,16 +129,26 @@ def _check_squeezing(r: float) -> None:
         raise ValueError(f"squeezing |r| = {abs(r)} is out of range: cosh(r) overflows a float64") from None
 
 
-def _finalize_family(raw: np.ndarray, label: str) -> FockState:
-    """Normalize a truncated analytic family and record the lost weight."""
+def _finalize_family(raw: np.ndarray, kind: str, value) -> FockState:
+    """Normalize a truncated analytic family and record the lost weight.
+
+    Above LEAK_TOLERANCE it warns, naming the cutoff suggest_cutoff finds
+    for the family or saying that none up to MAX_CUTOFF holds it.
+    """
+    label = _FAMILIES[kind].__name__
     norm_sq = float(np.vdot(raw, raw).real)
     if norm_sq <= 0.0:
         raise ZeroStateError(f"{label}: truncated state has zero norm")
     leak = max(0.0, 1.0 - norm_sq)
     if leak >= LEAK_TOLERANCE:
+        advice = f"no cutoff up to {MAX_CUTOFF} holds it"
+        if raw.shape[0] < MAX_CUTOFF:
+            try:
+                advice = f"cutoff {suggest_cutoff(kind, value, LEAK_TOLERANCE)} holds it"
+            except ValueError:
+                pass
         warnings.warn(
-            f"{label}: cutoff {raw.shape[0]} loses weight {leak:.3g}; "
-            "increase the cutoff",
+            f"{label}: cutoff {raw.shape[0]} loses weight {leak:.3g}; {advice}",
             TruncationWarning,
             stacklevel=3,
         )
@@ -152,7 +162,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     if alpha == 0:
         raw = np.zeros(cutoff, dtype=complex)
         raw[0] = 1.0
-        return _finalize_family(raw, "coherent_fock")
+        return _finalize_family(raw, "coherent", alpha)
     n = np.arange(cutoff)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cutoff)))))
     log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * log_fact
@@ -161,7 +171,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     unit = alpha / abs(alpha)
     phases = np.concatenate(([1.0 + 0.0j], np.cumprod(np.full(cutoff - 1, unit))))
     raw = np.exp(log_mag) * phases
-    return _finalize_family(raw, "coherent_fock")
+    return _finalize_family(raw, "coherent", alpha)
 
 
 def squeezed_vacuum_fock(r: float, cutoff: int) -> FockState:
@@ -177,7 +187,7 @@ def squeezed_vacuum_fock(r: float, cutoff: int) -> FockState:
     for m in range(1, (cutoff - 1) // 2 + 1):
         # ratio of successive even amplitudes: -tanh(r) sqrt((2m-1)/(2m))
         raw[2 * m] = raw[2 * m - 2] * (-math.tanh(r)) * math.sqrt((2 * m - 1) / (2 * m))
-    return _finalize_family(raw, "squeezed_vacuum_fock")
+    return _finalize_family(raw, "squeezed", r)
 
 
 def tmsv_fock(r: float, cutoff: int) -> FockState:
@@ -187,41 +197,33 @@ def tmsv_fock(r: float, cutoff: int) -> FockState:
     raw = np.zeros((cutoff, cutoff), dtype=complex)
     diag = np.tanh(r) ** np.arange(cutoff) / np.cosh(r)
     raw[np.arange(cutoff), np.arange(cutoff)] = diag
-    return _finalize_family(raw, "tmsv_fock")
+    return _finalize_family(raw, "tmsv", r)
+
+
+_FAMILIES = {"coherent": coherent_fock, "squeezed": squeezed_vacuum_fock, "tmsv": tmsv_fock}
 
 
 def suggest_cutoff(kind: str, value, tail_mass: float = 1e-8) -> int:
-    """Smallest cutoff keeping the analytic tail mass below tail_mass.
+    """Smallest cutoff at which the family loses at most tail_mass.
 
     kind is one of 'coherent' (value = alpha), 'squeezed' or 'tmsv'
-    (value = r); for 'tmsv' the suggestion is per mode.
+    (value = r); for 'tmsv' the suggestion is per mode. Reads the photon
+    numbers of the family built at MAX_CUTOFF, so it agrees with the
+    norm_leak of the builders. Raises ValueError if even MAX_CUTOFF loses
+    more than tail_mass.
     """
-    if kind == "coherent":
-        mean = abs(complex(value)) ** 2
-        p, total, n = math.exp(-mean), math.exp(-mean), 0
-        while 1.0 - total > tail_mass and n < 10 * MAX_CUTOFF:
-            n += 1
-            p *= mean / n
-            total += p
-        return min(MAX_CUTOFF, n + 1)
-    if kind == "tmsv":
-        t2 = math.tanh(float(value)) ** 2
-        if t2 == 0.0:
-            return 1
-        # geometric tail: sum_{n>=d} (1-t2) t2^n = t2^d
-        return min(MAX_CUTOFF, max(1, math.ceil(math.log(tail_mass) / math.log(t2))))
-    if kind == "squeezed":
-        t2 = math.tanh(float(value)) ** 2
-        if t2 == 0.0:
-            return 1
-        total, term, m = 0.0, 1.0 / math.cosh(float(value)), 0
-        total += term
-        while 1.0 - total > tail_mass and 2 * m < 10 * MAX_CUTOFF:
-            m += 1
-            term *= t2 * (2 * m - 1) / (2 * m)
-            total += term
-        return min(MAX_CUTOFF, 2 * m + 1)
-    raise ValueError(f"unknown family {kind!r}")
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown family {kind!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        state = _FAMILIES[kind](value, MAX_CUTOFF)
+    kept = np.cumsum(branch_probabilities(state, 0) * (1.0 - state.norm_leak))
+    holds = np.flatnonzero(1.0 - kept <= tail_mass)
+    if holds.size == 0:
+        raise ValueError(
+            f"{kind} {value}: no cutoff up to {MAX_CUTOFF} loses at most {tail_mass:.3g}"
+        )
+    return int(holds[0]) + 1
 
 
 def annihilation_matrix(cutoff: int) -> np.ndarray:
@@ -250,7 +252,8 @@ def apply_annihilation(state: FockState, mode: int) -> tuple[FockState, float]:
 
     Returns the normalized result together with the squared norm of the
     un-normalized vector a|psi> (the success weight of the subtraction).
-    Raises ZeroStateError if the input has no photons in that mode.
+    Raises ZeroStateError if the input has no photons in that mode. The
+    kitten tests build their ideal photon subtraction with it.
     """
     _check_modes(state, mode)
     new = _apply_single_mode(np.asarray(state.amps), annihilation_matrix(state.cutoff), mode)

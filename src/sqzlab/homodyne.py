@@ -1,5 +1,5 @@
-"""Measurement layer: quadrature sampling, temporal-mode matched filtering,
-photocurrent spectra with technical noise, and Wigner-function tomography.
+"""Measurement layer: quadrature sampling, photocurrent spectra with
+technical noise, and Wigner-function tomography.
 
 The local oscillator is treated as a classical number throughout: a
 quadrature sample at phase theta is a draw from the marginal of
@@ -116,7 +116,8 @@ def quadrature_pdf(state, mode: int, theta: float, xs: np.ndarray) -> np.ndarray
 
     Works for both engines: exact normal density for Gaussian states, and
     the Hermite-expanded marginal for Fock states (including entangled
-    multimode states, where the other modes are summed over).
+    multimode states, where the other modes are summed over). The sampler
+    tests draw their reference distribution from it.
     """
     xs = np.asarray(xs, dtype=float)
     if isinstance(state, GaussianState):
@@ -200,21 +201,6 @@ class PhotocurrentTrace:
     @property
     def fs(self) -> float:
         return 1.0 / self.dt
-
-
-def matched_filter_quadrature(trace: PhotocurrentTrace, mode_fn) -> float:
-    """Temporal-mode quadrature estimate: the integral of phi(t) I(t) dt.
-
-    mode_fn holds phi sampled on the trace's grid and must be normalized
-    so that sum(phi^2) dt = 1.
-    """
-    phi = np.asarray(mode_fn, dtype=float)
-    if phi.shape != trace.values.shape:
-        raise ValueError("mode function must be sampled on the trace grid")
-    norm = float(np.sum(phi**2) * trace.dt)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"mode function not normalized: sum(phi^2) dt = {norm:.8g}")
-    return float(np.sum(phi * trace.values) * trace.dt)
 
 
 def photocurrent_with_drift(
@@ -345,29 +331,6 @@ class PowerSpectrum:
         if not np.any(sel):
             raise ValueError("no spectrum bins in the requested band")
         return float(np.mean(self.power[sel]))
-
-
-@dataclass(frozen=True)
-class NoiseSpectrum:
-    """Squeezed / antisqueezed variance curves V-(nu) <= V+(nu) on a grid."""
-
-    freqs: np.ndarray
-    v_plus: np.ndarray
-    v_minus: np.ndarray
-
-    def __post_init__(self):
-        freqs = _readonly(self.freqs)
-        v_plus = _readonly(self.v_plus)
-        v_minus = _readonly(self.v_minus)
-        if not (freqs.shape == v_plus.shape == v_minus.shape):
-            raise ValueError("freqs, v_plus, v_minus must have matching shapes")
-        if np.any(v_minus <= 0):
-            raise ValueError("v_minus must be positive")
-        if np.any(v_plus < v_minus * (1.0 - 1e-12)):
-            raise ValueError("v_plus must dominate v_minus")
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "v_plus", v_plus)
-        object.__setattr__(self, "v_minus", v_minus)
 
 
 def spectrum(trace: PhotocurrentTrace, n_segments: int = 16) -> PowerSpectrum:
@@ -606,7 +569,8 @@ def variance_profile(dataset: QuadratureDataset):
 def mean_profile(dataset: QuadratureDataset) -> np.ndarray:
     """Phase-space mean (x, p) fitted from the per-phase sample means.
 
-    Uses <X_theta> = mx cos(theta) + mp sin(theta).
+    Uses <X_theta> = mx cos(theta) + mp sin(theta). wigner_axis_ratio
+    centres its window on this fit.
     """
     groups = _phase_groups(dataset)
     if len(groups) < 2:

@@ -83,3 +83,84 @@ def test_cli_process_freezes_its_heap_at_exit(tmp_path):
 
 def test_import_sqzlab_does_not_freeze_at_exit():
     assert _run_exit_probe("import sqzlab\n") == ([], 0)
+
+
+
+# The package exports resolve lazily: a layer is imported when one of its
+# names is first read, and each layer imports only the layers it uses.
+def _run_fresh(code):
+    """The last line that code prints, run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def _layers_loaded_by(body):
+    report = "import json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('sqzlab.'))))"
+    return json.loads(_run_fresh(f"{body}\n{report}\n"))
+
+
+def test_import_sqzlab_loads_no_layer():
+    assert _layers_loaded_by("import sqzlab") == []
+
+
+def test_from_sqzlab_import_fock_loads_only_fock_and_gaussian():
+    assert _layers_loaded_by("from sqzlab import fock") == ["sqzlab.fock", "sqzlab.gaussian"]
+
+
+def test_devices_loads_only_gaussian():
+    assert _layers_loaded_by("import sqzlab.devices") == ["sqzlab.devices", "sqzlab.gaussian"]
+
+
+# the names the package imported eagerly before its exports were lazy
+EXPORTS = {
+    "gaussian": "GaussianState beam_splitter displace infer_effective_loss loss_channel "
+    "quadrature_variance rotate squeeze squeezing_db two_mode_squeeze vacuum wigner_gaussian",
+    "fock": "FockState apply_annihilation beam_splitter_fock coherent_fock displace_fock "
+    "fidelity herald_click squeezed_vacuum_fock suggest_cutoff tmsv_fock wigner_fock",
+    "homodyne": "PhotocurrentTrace PowerSpectrum QuadratureDataset photocurrent_with_drift "
+    "quadrature_pdf reconstruct_wigner sample_quadratures sideband_quadratures spectrum wigner_grid",
+    "devices": "CavityConfig CrystalConfig NoiseSpectrum OpaConfig PumpConfig cavity_figures "
+    "effective_gaussian_state opa_spectrum pump_field_amplitude single_pass_r",
+    "protocols": "PhaseEstimate TeleportResult detection_efficiency_for_improvement "
+    "engineer_kitten_superposition gw_phase_readout make_heralded_photon make_kitten "
+    "teleport_gaussian teleport_wigner_check",
+}
+
+
+def test_exports_are_the_layers_objects():
+    code = f"""
+import importlib, sqzlab
+listed = dir(sqzlab)
+starred = {{}}
+exec("from sqzlab import *", starred)
+for layer, names in {EXPORTS!r}.items():
+    module = importlib.import_module("sqzlab." + layer)
+    for name in names.split():
+        assert getattr(sqzlab, name) is getattr(module, name), name
+        assert starred[name] is getattr(module, name), name
+        assert name in listed, name
+print("ok")
+"""
+    assert _run_fresh(code) == "ok"
+
+
+def test_unknown_name_raises_attribute_error():
+    # a constant, an imported module and a private function are not exports
+    code = """
+import sqzlab
+for name in ("no_such_name", "MAX_CUTOFF", "np", "_check_cutoff"):
+    try:
+        getattr(sqzlab, name)
+    except AttributeError:
+        continue
+    raise SystemExit(f"sqzlab.{name} resolved")
+print("ok")
+"""
+    assert _run_fresh(code) == "ok"

@@ -141,24 +141,33 @@ class TestTmsv:
         assert t.amps[1, 1] / t.amps[0, 0] == pytest.approx(r, rel=1e-6)
 
 
+FAMILIES = {"coherent": coherent_fock, "squeezed": squeezed_vacuum_fock, "tmsv": tmsv_fock}
+
+
 class TestSuggestCutoff:
     def test_tail_mass_respected(self):
         for kind, value in (("coherent", 1.2), ("squeezed", 0.8), ("tmsv", 0.8)):
             d = suggest_cutoff(kind, value, tail_mass=1e-8)
-            build = {
-                "coherent": coherent_fock,
-                "squeezed": squeezed_vacuum_fock,
-                "tmsv": tmsv_fock,
-            }[kind]
-            state = build(value, d)
+            state = FAMILIES[kind](value, d)
             assert state.norm_leak < 1e-6
 
-    @pytest.mark.parametrize("r", [0.3, 0.6, 0.9])
-    def test_squeezed_is_smallest(self, r):
-        # |2m> carries weight tanh^2m(r) (2m)! / (4^m m!^2 cosh r)
-        d = suggest_cutoff("squeezed", r, tail_mass=1e-8)
-        assert squeezed_vacuum_fock(r, d).norm_leak <= 1e-8
-        assert squeezed_vacuum_fock(r, d - 1).norm_leak > 1e-8
+    @pytest.mark.parametrize(
+        "kind, value",
+        [pytest.param("squeezed", r, id=str(r)) for r in (0.3, 0.6, 0.9)]
+        + [
+            pytest.param(kind, value, id=f"{kind}-{value}")
+            for kind, value in (("coherent", 1.5), ("coherent", 4.0), ("tmsv", 0.9))
+        ],
+    )
+    def test_squeezed_is_smallest(self, kind, value):
+        d = suggest_cutoff(kind, value, tail_mass=1e-8)
+        assert FAMILIES[kind](value, d).norm_leak <= 1e-8
+        assert FAMILIES[kind](value, d - 1).norm_leak > 1e-8
+
+    @pytest.mark.parametrize("kind, value", [("squeezed", 2.5), ("coherent", 9.0), ("tmsv", 2.5)])
+    def test_past_the_limit_raises(self, kind, value):
+        with pytest.raises(ValueError, match=f"no cutoff up to {fock.MAX_CUTOFF}"):
+            suggest_cutoff(kind, value, tail_mass=1e-8)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

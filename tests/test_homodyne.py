@@ -1,4 +1,4 @@
-"""Measurement layer: samplers, matched filter, spectra, tomography."""
+"""Measurement layer: samplers, spectra, tomography."""
 
 import math
 import time
@@ -14,7 +14,6 @@ from sqzlab.homodyne import (
     QuadratureDataset,
     default_filter_cutoff,
     load_dataset_csv,
-    matched_filter_quadrature,
     photocurrent_with_drift,
     quadrature_pdf,
     reconstruct_wigner,
@@ -145,58 +144,6 @@ class TestQuadraturePdf:
         pdf = quadrature_pdf(t, 0, 0.0, xs)
         var = np.trapezoid(pdf * xs**2, xs)
         assert var == pytest.approx(math.cosh(2 * r) / 2, abs=1e-6)
-
-
-class TestMatchedFilter:
-    def test_self_projection(self):
-        n, dt = 512, 1e-7
-        phi = np.sin(np.linspace(0, math.pi, n))
-        phi /= math.sqrt(np.sum(phi**2) * dt)
-        trace = PhotocurrentTrace(dt=dt, values=phi)
-        assert matched_filter_quadrature(trace, phi) == pytest.approx(1.0, rel=1e-12)
-
-    def test_unnormalized_mode_rejected(self):
-        trace = PhotocurrentTrace(dt=1e-7, values=np.zeros(64))
-        with pytest.raises(ValueError, match="normalized"):
-            matched_filter_quadrature(trace, np.ones(64))
-
-    def test_sql_estimator_variance(self):
-        # delta-correlated quadrature noise: per-sample variance V/dt
-        n, dt, reps, v = 256, 1e-7, 10_000, 0.5
-        rng = np.random.default_rng(21)
-        phi = np.exp(-((np.linspace(-1, 1, n)) ** 2) / 0.2)
-        phi /= math.sqrt(np.sum(phi**2) * dt)
-        estimates = np.empty(reps)
-        noise = rng.normal(0.0, math.sqrt(v / dt), size=(reps, n))
-        for k in range(reps):
-            estimates[k] = matched_filter_quadrature(
-                PhotocurrentTrace(dt=dt, values=noise[k]), phi
-            )
-        assert np.var(estimates) == pytest.approx(v, rel=0.05)
-
-    def test_linear_in_trace(self):
-        n, dt = 128, 1e-7
-        rng = np.random.default_rng(23)
-        phi = np.ones(n) / math.sqrt(n * dt)
-        a = rng.normal(size=n)
-        b = rng.normal(size=n)
-        est = lambda v: matched_filter_quadrature(PhotocurrentTrace(dt=dt, values=v), phi)
-        assert est(a) + est(b) == pytest.approx(est(a + b), rel=1e-12)
-
-    def test_orthogonal_mode_uncorrelated(self):
-        n, dt, reps = 256, 1e-7, 10_000
-        rng = np.random.default_rng(22)
-        t = np.linspace(0, 1, n, endpoint=False)
-        phi1 = np.sin(2 * math.pi * t)
-        phi2 = np.cos(2 * math.pi * t)
-        phi1 /= math.sqrt(np.sum(phi1**2) * dt)
-        phi2 /= math.sqrt(np.sum(phi2**2) * dt)
-        assert abs(np.sum(phi1 * phi2) * dt) < 1e-10
-        noise = rng.normal(0.0, math.sqrt(0.5 / dt), size=(reps, n))
-        est1 = noise @ phi1 * dt
-        est2 = noise @ phi2 * dt
-        corr = np.corrcoef(est1, est2)[0, 1]
-        assert abs(corr) < 0.02
 
 
 class TestDriftAndSpectrum:

@@ -137,7 +137,14 @@ def test_command_line_cosh_overflow_is_one_line_without_numpy_warnings(r, tmp_pa
 def test_command_line_clipped_state_is_one_line_without_truncation_warnings(tmp_path):
     proc = _sqz_run("kitten", "r=40", tmp_path / "out")
     assert proc.returncode == 3
-    assert proc.stderr == "error: squeezed_vacuum_fock: cutoff 20 loses weight 1; increase the cutoff\n"
+    assert proc.stderr == "error: squeezed_vacuum_fock: cutoff 20 loses weight 1; no cutoff up to 64 holds it\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_command_line_clipped_state_names_the_cutoff_that_holds_it(tmp_path):
+    proc = _sqz_run("herald-photon", "cutoff=2", tmp_path / "out")
+    assert proc.returncode == 3
+    assert proc.stderr == "error: tmsv_fock: cutoff 2 loses weight 6.23e-06; cutoff 3 holds it\n"
     assert not (tmp_path / "out").exists()
 
 
