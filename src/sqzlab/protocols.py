@@ -108,8 +108,9 @@ def teleport_wigner_check(
     if points.shape[0] < 9:
         warnings.warn("comparison grid is very coarse", stacklevel=2)
     else:
-        xs = np.unique(points[:, 0])
-        if xs.size > 1 and np.min(np.diff(xs)) > min_width:
+        steps = np.diff(np.sort(points[:, 0]))
+        steps = steps[steps > 0]
+        if steps.size and steps.min() > min_width:
             warnings.warn(
                 "comparison grid coarser than the output state's width",
                 stacklevel=2,

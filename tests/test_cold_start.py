@@ -12,14 +12,17 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs in a fresh interpreter; prints the steps after which scipy was loaded.
+# Runs in a fresh interpreter; prints the steps after which scipy or numpy.ma
+# was loaded. np.unique without return_index/inverse/counts imports numpy.ma,
+# about 8 ms of a cold process.
 PROBE = """
 import json, sys, tempfile
 from pathlib import Path
 
 def loaded(step):
-    if any(name == "scipy" or name.startswith("scipy.") for name in sys.modules):
-        seen.append(step)
+    for package in ("scipy", "numpy.ma"):
+        if any(name == package or name.startswith(package + ".") for name in sys.modules):
+            seen.append(f"{step}: {package}")
 
 seen = []
 import sqzlab

@@ -79,13 +79,35 @@ def test_beam_splitter_matches_dense_reference(state, theta):
         assert np.max(np.abs(out - dense_beam_splitter(state, modes, tau, rho))) <= 1e-12
 
 
-@pytest.mark.parametrize("theta", [0.1, math.pi / 4, math.pi / 2 - 1e-3, math.pi / 2])
+# theta = 0 is no longer exactly the identity: V V^T rounds
+@pytest.mark.parametrize(
+    "theta", [0.0, 0.1, -0.37, math.pi / 4, math.pi / 2 - 1e-3, math.pi / 2, -math.pi / 2]
+)
 def test_beam_splitter_blocks_orthogonal_and_match_expm(theta):
     for na, nb, block in fock._beam_splitter_blocks(64, theta):
         couple = theta * np.sqrt((na[:-1] + 1.0) * nb[:-1])
         generator = np.diag(couple, 1) - np.diag(couple, -1)
         assert np.max(np.abs(block.T @ block - np.eye(na.size))) <= 1e-13
         assert np.max(np.abs(block - expm(generator))) <= 1e-12
+
+
+def test_new_angle_at_a_known_cutoff_makes_no_eigen_solve(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    fock._beam_splitter_eig.cache_clear()
+    fock._beam_splitter_blocks.cache_clear()
+    pair = tensor(coherent_fock(0.3, 17), coherent_fock(-0.2j, 17))
+    beam_splitter_fock(pair, (0, 1), math.cos(0.123), math.sin(0.123))
+    assert len(calls) == 2 * 17 - 1
+    calls.clear()
+    beam_splitter_fock(pair, (0, 1), math.cos(-0.456), math.sin(-0.456))
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -139,6 +161,7 @@ def test_wigner_over_several_chunks_matches_looped_reference():
 
 def _cost(run):
     """Wall seconds and tracemalloc peak bytes of run() with cold kernel caches."""
+    fock._beam_splitter_eig.cache_clear()
     fock._beam_splitter_blocks.cache_clear()
     fock._displacement_eig.cache_clear()
     tracemalloc.start()

@@ -113,6 +113,12 @@ class TestTeleportWignerCheck:
         with pytest.warns(UserWarning, match="coarse"):
             teleport_wigner_check(vacuum(1), 1.0, [[0.0, 0.0]])
 
+    def test_grid_coarser_than_the_output_reported(self):
+        # 3 x 3 points over +-4 repeat each x three times, 4 apart
+        points, _, _ = wigner_grid(4.0, 3)
+        with pytest.warns(UserWarning, match="coarser than the output state's width"):
+            teleport_wigner_check(vacuum(1), 1.0, points)
+
     def test_wrong_channel_detected(self, monkeypatch):
         # a closed form with 1e-3 of extra variance per quadrature must show
         def noisier(state, r, gain=1.0):
