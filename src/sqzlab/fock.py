@@ -166,11 +166,9 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     n = np.arange(cutoff)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cutoff)))))
     log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * log_fact
-    # cumulative product keeps real alpha exactly real (and alternating for
-    # alpha < 0), which exact-parity checks downstream rely on
-    unit = alpha / abs(alpha)
-    phases = np.concatenate(([1.0 + 0.0j], np.cumprod(np.full(cutoff - 1, unit))))
-    raw = np.exp(log_mag) * phases
+    # exactly real (and alternating for alpha < 0) for real alpha, which
+    # exact-parity checks downstream rely on
+    raw = np.exp(log_mag) * _phases(alpha / abs(alpha), cutoff)
     return _finalize_family(raw, "coherent", alpha)
 
 
@@ -324,53 +322,60 @@ def beam_splitter_fock(
     return FockState(amps=out, norm_leak=state.norm_leak)
 
 
-@lru_cache(maxsize=8)
-def _displacement_eig(cutoff: int):
-    # eigendecomposition of i(a^dag - a); reused for every displacement
-    a = annihilation_matrix(cutoff)
-    herm = 1j * (a.T - a)
-    vals, vecs = np.linalg.eigh(herm)
-    return vals, vecs
+def _laguerre_rows(y: np.ndarray, cutoff: int):
+    """Yield g_n^k(y) = sqrt(n!/(n+k)!) y^(k/2) e^(-y/2) L_n^k(y), k < d - n, row n = 0..d-1.
+
+    <n+k|D(alpha)|n> = g_n^k(|alpha|^2) e^(ik arg alpha) (Cahill & Glauber, Phys. Rev. 177, 1882
+    (1969)). Row 0 is the Poisson amplitude and the three-term Laguerre recurrence in n gives the
+    rest; each value is a matrix element of a unitary, so none overflows.
+    """
+    k = np.arange(cutoff)[:, None]
+    prev = np.zeros((cutoff, y.size))
+    cur = np.cumprod(np.vstack([np.exp(-0.5 * y), np.sqrt(y) / np.sqrt(k[1:])]), axis=0)
+    yield cur
+    for n in range(1, cutoff):
+        kn = k[: cutoff - n]
+        nxt = (2 * n - 1 + kn - y) * cur[: cutoff - n] - np.sqrt((n - 1) * (n - 1 + kn)) * prev[: cutoff - n]
+        prev, cur = cur, nxt / np.sqrt(n * (n + kn))
+        yield cur
+
+
+def _phases(unit: complex, cutoff: int) -> np.ndarray:
+    """unit^n for n < cutoff; the cumulative product keeps a real unit exactly real."""
+    return np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(cutoff - 1, unit))))
 
 
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """Truncated matrix exponential of alpha a^dag - alpha* a.
-
-    Exactly unitary on the retained space for any cutoff.
-    """
+    """Exact <m|D(alpha)|n>, m, n < cutoff: column n lacks the weight D(alpha)|n> puts above it."""
     alpha = complex(alpha)
     if not np.isfinite(alpha):
         raise ValueError(f"displacement alpha must be finite, got {alpha}")
-    vals, vecs = _displacement_eig(cutoff)
-    radial = (vecs * np.exp(-1j * abs(alpha) * vals)) @ vecs.conj().T
-    rot = np.exp(1j * np.angle(alpha) * np.arange(cutoff))
-    return radial * rot[:, None] * rot.conj()[None, :]
+    unit = alpha / abs(alpha) if alpha else 1.0
+    above, below = _phases(unit, cutoff), _phases(-unit.conjugate(), cutoff)  # alpha^k, (-alpha*)^k
+    out = np.empty((cutoff, cutoff), dtype=complex)
+    for n, g in enumerate(_laguerre_rows(np.array([abs(alpha) ** 2]), cutoff)):
+        out[n:, n] = g[:, 0] * above[: cutoff - n]
+        out[n, n:] = g[:, 0] * below[: cutoff - n]
+    return out
 
 
 def displace_fock(state: FockState, mode: int, alpha: complex) -> FockState:
-    """Displace one mode by alpha via the truncated displacement unitary.
+    """Displace one mode by alpha with the exact truncated displacement, renormalized.
 
-    That is the exponential of the truncated generator, not the truncated
-    exact displacement. The weight the exact displacement would move above
-    the cutoff is not added to norm_leak, which passes through unchanged;
-    only the warning below flags it. Warns when the displaced state piles
-    weight onto the top Fock level, a sign the cutoff is too small for
-    this amplitude.
+    norm_leak becomes 1 - (1 - old)(1 - lost), where lost is the weight moved above the
+    cutoff; warns with TruncationWarning when lost >= LEAK_TOLERANCE.
     """
     _check_modes(state, mode)
     out = _apply_single_mode(
         np.asarray(state.amps), displacement_matrix(alpha, state.cutoff), mode
     )
-    top = np.moveaxis(out, mode, 0)[-1]
-    top_weight = float(np.vdot(top, top).real)
-    if top_weight > LEAK_TOLERANCE:
-        warnings.warn(
-            f"displace_fock: weight {top_weight:.3g} at the cutoff level; "
-            "result is clipped",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return FockState(amps=out, norm_leak=state.norm_leak)
+    kept = float(np.vdot(out, out).real)
+    if kept <= 1e-300:
+        raise ZeroStateError(f"displace_fock: cutoff {state.cutoff} keeps no weight")
+    lost = max(0.0, 1.0 - kept)
+    if lost >= LEAK_TOLERANCE:
+        warnings.warn(f"displace_fock: cutoff {state.cutoff} loses weight {lost:.3g}", TruncationWarning, stacklevel=2)
+    return FockState(amps=out / np.sqrt(kept), norm_leak=1.0 - (1.0 - state.norm_leak) * (1.0 - lost))
 
 
 def _padded(state: FockState, cutoff: int) -> np.ndarray:
@@ -508,42 +513,31 @@ def quadrature_mean_and_cov(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _pure_mode_vector(state: FockState, mode: int) -> np.ndarray:
-    if state.n_modes == 1:
-        return np.asarray(state.amps)
-    rho = reduced_density_matrix(state, mode)
-    vals, vecs = np.linalg.eigh(rho)
-    if vals[-1] < 1.0 - 1e-9:
-        raise ValueError(
-            "mode is entangled with the rest of the state "
-            f"(reduced purity {float(np.sum(vals**2)):.6g}); "
-            "condition or trace the other modes first"
-        )
-    return vecs[:, -1]
-
-
 def wigner_fock(state: FockState, grid, mode: int = 0) -> np.ndarray:
-    """Wigner function of one mode via displaced-parity evaluation.
+    """Wigner function of one mode, exact for the truncated state, on (M, 2) (x, p) points.
 
-    grid is an (M, 2) array of (x, p) points. The requested mode must be a
-    product factor of the state (for multimode inputs). The vacuum peaks
-    at 1/pi and the single photon reaches -1/pi at the origin. The
-    displacement is the truncated ``displacement_matrix``, which is not exact
-    far from the origin: for coherent states with |alpha| <= 1.5, cutoff 32
-    on |x|, |p| <= 3 is off by up to 5% of the peak, cutoff 40 on
-    |x|, |p| <= 2 by about 2.5e-9.
+    The vacuum peaks at 1/pi. The mode may be entangled: with rho its reduced density matrix
+    and beta = sqrt(2)(x + ip), W = (1/pi) sum_{m,n} rho_nm (-1)^n <m|D(beta)|n>
+    = (1/pi) [c_0 + 2 Re sum_k e^(ik arg beta) c_k], c_k = sum_n (-1)^n rho_{n,n+k} g_n^k(|beta|^2)
+    (Cahill & Glauber). Points are taken by radius, a chunk at a time, with the kernel run once
+    per distinct radius in a chunk.
     """
-    _check_modes(state, mode)
-    psi = _pure_mode_vector(state, mode)
+    rho = reduced_density_matrix(state, mode)
     points = _phase_space_points(grid, 2)
-    # D(-gamma) = R V exp(-i|gamma| lam) V^H R^*, R = diag(e^{i n arg(-gamma)}); |R .| = |.|
-    vals, vecs = _displacement_eig(psi.size)
-    n = np.arange(psi.size)
+    d = state.cutoff
+    y = 2.0 * np.sum(points**2, axis=1)
+    order = np.argsort(y)  # np.unique would import numpy.ma
     out = np.empty(len(points))
     for start in range(0, len(points), _WIGNER_CHUNK):
-        chunk = points[start : start + _WIGNER_CHUNK]
-        neg = -(chunk[:, 0] + 1j * chunk[:, 1]) / np.sqrt(2.0)
-        inner = (np.exp(-1j * np.angle(neg)[:, None] * n) * psi) @ vecs.conj()
-        shifted = (np.exp(-1j * np.abs(neg)[:, None] * vals) * inner) @ vecs.T
-        out[start : start + _WIGNER_CHUNK] = np.abs(shifted) ** 2 @ (-1.0) ** n / np.pi
+        chunk = order[start : start + _WIGNER_CHUNK]
+        first = np.concatenate(([True], np.diff(y[chunk]) != 0))
+        radius = np.cumsum(first) - 1
+        coeff = np.zeros((d, radius[-1] + 1), dtype=complex)
+        for n, g in enumerate(_laguerre_rows(y[chunk][first], d)):
+            coeff[: d - n] += (-1.0) ** n * rho[n, n:, None] * g
+        unit = np.exp(1j * np.arctan2(points[chunk, 1], points[chunk, 0]))
+        acc = np.zeros(len(chunk), dtype=complex)
+        for k in range(d - 1, 0, -1):
+            acc = (acc + coeff[k, radius]) * unit
+        out[chunk] = (coeff[0, radius].real + 2.0 * acc.real) / np.pi
     return out

@@ -183,8 +183,10 @@ def _act(state: GaussianState, modes, block, noise=0.0, shift=0.0) -> GaussianSt
 def squeeze(state: GaussianState, mode: int, r: float, phi: float = 0.0) -> GaussianState:
     """Apply a single-mode squeezer to one mode of the state.
 
-    For phi = 0 the X quadrature is scaled by exp(-r) and P by exp(+r); a
-    nonzero phi rotates the squeezed axis to angle phi (rotation conjugation).
+    For phi = 0 the X quadrature is scaled by exp(-r) and P by exp(+r), exactly at any r. A
+    nonzero phi rotates the squeezed axis to angle phi (rotation conjugation); the squeezed
+    variance exp(-2r)/2 then sits among entries of size exp(2r), and its median relative
+    error over phi is 2e-7 at r = 6, 5e-4 at r = 8 and O(1) at r = 10.
     """
     block = np.diag([np.exp(-r), np.exp(r)])
     if phi != 0.0:

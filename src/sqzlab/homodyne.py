@@ -43,8 +43,8 @@ class QuadratureDataset:
     def __post_init__(self):
         thetas = _readonly(np.mod(self.thetas, TWO_PI))
         xs = _readonly(self.xs)
-        if thetas.shape != xs.shape or thetas.ndim != 1:
-            raise ValueError("thetas and xs must be equal-length 1-d arrays")
+        if thetas.shape != xs.shape or thetas.ndim != 1 or xs.size == 0:
+            raise ValueError(f"thetas and xs must be equal-length, non-empty 1-d arrays, got {thetas.shape}, {xs.shape}")
         if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(xs))):
             raise ValueError("dataset contains non-finite values")
         object.__setattr__(self, "thetas", thetas)
@@ -156,8 +156,8 @@ def sample_quadratures(
     not depend on evaluation order.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if n_per_theta < 1:
-        raise ValueError("n_per_theta must be positive")
+    if thetas.size == 0 or n_per_theta < 1:
+        raise ValueError(f"need at least one phase and n_per_theta >= 1, got {thetas.size} and {n_per_theta}")
     children = np.random.SeedSequence(seed).spawn(thetas.size)
     all_thetas = np.repeat(thetas, n_per_theta)
     blocks = []

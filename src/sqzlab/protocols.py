@@ -59,17 +59,17 @@ def teleport_gaussian(
     """Teleport a single-mode Gaussian state using a two-mode squeezed
     resource with parameter r_resource.
 
-    At unit gain the channel preserves the mean and adds exp(-2r) to each
-    quadrature variance; the coherent-state fidelity is then
-    1 / (1 + exp(-2r)), independent of the input amplitude. Non-unit gain
-    is exposed for sweeps but the fidelity benchmark assumes gain 1.
+    The channel adds 0.25[(1-g)^2 e^(2r) + (1+g)^2 e^(-2r)] to each quadrature variance, with no
+    cancellation, so it is accurate while e^(2r) is finite. At unit gain that is exp(-2r), the
+    mean is kept and the coherent-state fidelity is 1 / (1 + exp(-2r)), independent of the input
+    amplitude. Non-unit gain is exposed for sweeps but the fidelity benchmark assumes gain 1.
     """
     if input_state.n_modes != 1:
         raise ValueError("teleportation takes a single-mode input")
     if r_resource < 0:
         raise ValueError("resource squeezing must be >= 0")
     g = float(gain)
-    added = 0.5 * (1.0 + g * g) * np.cosh(2.0 * r_resource) - g * np.sinh(2.0 * r_resource)
+    added = 0.25 * ((1.0 - g) ** 2 * np.exp(2.0 * r_resource) + (1.0 + g) ** 2 * np.exp(-2.0 * r_resource))
     out = GaussianState(
         mean=g * input_state.mean,
         cov=g * g * input_state.cov + added * np.eye(2),

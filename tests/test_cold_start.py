@@ -1,8 +1,10 @@
 """Start-up and exit cost. scipy takes about 1.3 s to import, and no code
 in sqzlab needs it (the drift trace and its Welch spectrum are plain
-numpy), so no import and no scenario may load it. A CLI process freezes
-its heap at exit, so the interpreter's final collections skip it; a
-process that only imports sqzlab does not."""
+numpy), so no import and no scenario may load it; nor may the Fock
+displacement and Wigner map, which no scenario calls, load it or mpmath,
+the tests' reference for them. A CLI process freezes its heap at exit, so
+the interpreter's final collections skip it; a process that only imports
+sqzlab does not."""
 
 import json
 import os
@@ -12,15 +14,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs in a fresh interpreter; prints the steps after which scipy or numpy.ma
-# was loaded. np.unique without return_index/inverse/counts imports numpy.ma,
+# Runs in a fresh interpreter; prints the steps after which scipy, mpmath or
+# numpy.ma was loaded. np.unique without return_index/inverse/counts imports numpy.ma,
 # about 8 ms of a cold process.
 PROBE = """
 import json, sys, tempfile
 from pathlib import Path
 
 def loaded(step):
-    for package in ("scipy", "numpy.ma"):
+    for package in ("scipy", "mpmath", "numpy.ma"):
         if any(name == package or name.startswith(package + ".") for name in sys.modules):
             seen.append(f"{step}: {package}")
 
@@ -37,6 +39,11 @@ with tempfile.TemporaryDirectory() as tmp:
         params = {"r_max": 2.0} if name == "teleport-sweep" else {}
         run_scenario(ScenarioConfig(name, params, 0, str(Path(tmp) / name)))
         loaded(name)
+from sqzlab.fock import coherent_fock, displace_fock, displacement_matrix, tmsv_fock, wigner_fock
+displacement_matrix(0.4 - 0.3j, 8)
+wigner_fock(displace_fock(coherent_fock(0.3, 8), 0, 0.2j), [[0.0, 0.0], [0.5, -0.5], [-0.5, 0.5]])
+wigner_fock(tmsv_fock(0.3, 8), [[1.0, 0.0]], mode=1)
+loaded("fock displacement and Wigner map")
 print(json.dumps(seen))
 """
 

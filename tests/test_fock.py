@@ -260,13 +260,38 @@ class TestDisplaceFock:
         back = displace_fock(displace_fock(st, 0, 0.9), 0, -0.9)
         assert fidelity(back, st) == pytest.approx(1.0, abs=1e-8)
 
-    def test_unitary_on_truncated_space(self):
-        d = fock.displacement_matrix(1.3 - 0.4j, 18)
-        np.testing.assert_allclose(d @ d.conj().T, np.eye(18), atol=1e-12)
+    def test_column_deficit_is_lost_weight(self):
+        # the truncation of the exact operator: what column n lacks is what
+        # D(alpha)|n> puts at or above the cutoff, read from cutoff 64
+        alpha = 1.3 - 0.4j
+        d = fock.displacement_matrix(alpha, 18)
+        wide = fock.displacement_matrix(alpha, 64)
+        np.testing.assert_array_equal(wide[:18, :18], d)
+        deficit = 1.0 - np.sum(np.abs(d) ** 2, axis=0)
+        np.testing.assert_allclose(deficit, np.sum(np.abs(wide[18:, :18]) ** 2, axis=0), atol=1e-14)
+        assert deficit[-1] > 0.1
+
+    def test_round_trip_within_counted_leak(self):
+        # each renormalized truncation is within trace distance sqrt(lost)
+        st = from_amplitudes(np.eye(10)[1] + 0.5 * np.eye(10)[2])
+        with pytest.warns(TruncationWarning):
+            there = displace_fock(st, 0, 1.1)
+            back = displace_fock(there, 0, -1.1)
+        first = there.norm_leak
+        second = 1.0 - (1.0 - back.norm_leak) / (1.0 - first)
+        assert first > 1e-4 and second > 1e-4
+        assert 1.0 - fidelity(back, st) <= (math.sqrt(first) + math.sqrt(second)) ** 2
 
     def test_cutoff_overflow_warns(self):
         with pytest.warns(TruncationWarning):
-            displace_fock(number_state(0, 6), 0, 2.5)
+            out = displace_fock(number_state(0, 6), 0, 2.5)
+        # the lost weight is the Poisson tail above the cutoff, and is counted
+        kept = sum(math.exp(-6.25) * 6.25**n / math.factorial(n) for n in range(6))
+        assert out.norm_leak == pytest.approx(1.0 - kept, rel=1e-12)
+        # a displacement that loses nothing carries the old leak and does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert displace_fock(out, 0, 0.0).norm_leak == pytest.approx(out.norm_leak, rel=1e-15)
 
 
 class TestFidelity:
@@ -353,9 +378,17 @@ class TestWignerFock:
             wigner_fock(s_fock, pts), wigner_gaussian(s_gauss, pts), atol=1e-6
         )
 
-    def test_entangled_mode_rejected(self):
-        with pytest.raises(ValueError, match="entangled"):
-            wigner_fock(tmsv_fock(0.5, 10), [[0.0, 0.0]], mode=0)
+    def test_entangled_mode_is_thermal(self):
+        # each mode of a two-mode squeezed vacuum is thermal with variance
+        # cosh(2r)/2; at cutoff 40 the lost weight tanh(r)^80 is 1.4e-27
+        r = 0.5
+        pair = tmsv_fock(r, 40)
+        axis = np.linspace(-4.0, 4.0, 17)
+        pts = np.column_stack([np.repeat(axis, 17), np.tile(axis, 17)])
+        var = math.cosh(2.0 * r) / 2.0
+        thermal = np.exp(-np.sum(pts**2, axis=1) / (2.0 * var)) / (2.0 * math.pi * var)
+        for mode in (0, 1):
+            assert np.max(np.abs(wigner_fock(pair, pts, mode=mode) - thermal)) <= 1e-10
 
     def test_product_state_mode_extraction(self):
         st = tensor(number_state(1, 10), coherent_fock(0.4, 10))

@@ -5,23 +5,32 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from sqzlab import fock
 from sqzlab.fock import (
+    TruncationWarning,
+    ZeroStateError,
     annihilation_matrix,
     beam_splitter_fock,
     coherent_fock,
     displace_fock,
     displacement_matrix,
     from_amplitudes,
+    reduced_density_matrix,
+    squeezed_vacuum_fock,
     tensor,
+    tmsv_fock,
     wigner_fock,
 )
+from sqzlab.gaussian import GaussianState, displace, squeeze, two_mode_squeeze, vacuum, wigner_gaussian
 from sqzlab.homodyne import wigner_grid
 from sqzlab.protocols import engineer_kitten_superposition, make_kitten
 
@@ -40,18 +49,41 @@ def dense_beam_splitter(state, modes, tau, rho):
 
 
 def looped_wigner(state, grid, mode=0):
-    """Displaced parity one grid point at a time, with a d x d displacement each.
+    """Cahill & Glauber's sum (1/pi) sum_{m,n} rho_nm (-1)^n <m|D(beta)|n>,
+    beta = sqrt(2)(x + ip), one grid point at a time, with every matrix
+    element from scipy's Laguerre polynomials.
 
-    The reference that wigner_fock's two matrix products reproduce.
+    The exact reference that wigner_fock's recurrence reproduces.
     """
-    psi = fock._pure_mode_vector(state, mode)
-    signs = (-1.0) ** np.arange(psi.size)
+    rho = reduced_density_matrix(state, mode)
+    d = state.cutoff
+    m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    lo, k = np.minimum(m, n), np.abs(m - n)
+    norm = np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + k + 1)))
+    signs = (-1.0) ** n
     out = np.empty(len(grid))
-    for k, (x, p) in enumerate(grid):
-        gamma = (x + 1j * p) / np.sqrt(2.0)
-        shifted = psi if gamma == 0 else displacement_matrix(-gamma, psi.size) @ psi
-        out[k] = np.sum(signs * np.abs(shifted) ** 2) / np.pi
+    for i, (x, p) in enumerate(grid):
+        beta = math.sqrt(2.0) * complex(x, p)
+        y = abs(beta) ** 2
+        power = np.where(m >= n, beta**k, (-beta.conjugate()) ** k)
+        element = norm * math.exp(-0.5 * y) * eval_genlaguerre(lo, k, y) * power
+        out[i] = np.sum(rho.T * signs * element).real / np.pi
     return out
+
+
+def mp_displacement(alpha, cutoff):
+    """<m|D(alpha)|n> in 40-digit mpmath, each Laguerre polynomial as its finite sum."""
+    with mp.workdps(40):
+        a = mp.mpc(alpha.real, alpha.imag)
+        y = abs(a) ** 2
+        terms = [y**i / mp.factorial(i) for i in range(cutoff)]
+        out = np.empty((cutoff, cutoff), dtype=complex)
+        for lo, hi in itertools.combinations_with_replacement(range(cutoff), 2):
+            laguerre = mp.fsum((-1) ** i * math.comb(hi, lo - i) * terms[i] for i in range(lo + 1))
+            common = mp.sqrt(mp.factorial(lo) / mp.factorial(hi)) * mp.exp(-y / 2) * laguerre
+            out[hi, lo] = complex(common * a ** (hi - lo))
+            out[lo, hi] = complex(common * (-mp.conj(a)) ** (hi - lo))
+        return out
 
 
 # -- beam splitter --------------------------------------------------------------
@@ -126,6 +158,22 @@ def test_displace_rejects_non_finite(alpha):
         displace_fock(coherent_fock(0.0, 4), 0, alpha)
 
 
+# -- displacement -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "alpha, cutoff", [(1.5, 20), (-3.0j, 32), (5.0 * np.exp(0.7j), 64), (-2.2 + 1.1j, 64), (-5.0, 48)]
+)
+def test_displacement_matrix_matches_mpmath(alpha, cutoff):
+    assert np.max(np.abs(displacement_matrix(alpha, cutoff) - mp_displacement(complex(alpha), cutoff))) <= 1e-13
+
+
+def test_displacement_far_outside_the_cutoff_is_zero_not_nan():
+    assert not np.any(displacement_matrix(1e6 + 1e6j, 64))
+    with pytest.raises(ZeroStateError):
+        displace_fock(coherent_fock(0.0, 64), 0, 1e6)
+
+
 # -- Wigner map -----------------------------------------------------------------
 
 # the origin, and points where gamma = (x + ip)/sqrt(2) has phase +-pi or
@@ -139,6 +187,7 @@ WIGNER_STATES = {
     "one-photon": lambda: (from_amplitudes(np.eye(12)[1]), 0),
     "kitten": lambda: (make_kitten(0.4, 24, 0.07)[0], 0),
     "product-mode-1": lambda: (tensor(from_amplitudes(np.eye(10)[1]), coherent_fock(0.6 - 0.5j, 10)), 1),
+    "entangled-mode-0": lambda: (tmsv_fock(0.7, 16), 0),
 }
 
 
@@ -156,6 +205,67 @@ def test_wigner_over_several_chunks_matches_looped_reference():
     assert np.max(np.abs(wigner_fock(state, grid) - looped_wigner(state, grid))) <= 1e-12
 
 
+# Closed forms far from the origin at low cutoff, with the weight each state
+# loses to its cutoff computed from its series: below 1e-20, so a truncated
+# map within (2/pi) sqrt(lost) of the closed form is within 1e-10 of it.
+def _coherent_case():
+    alpha = 0.7 + 0.3j
+    x0, p0 = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
+    y = abs(alpha) ** 2
+    tail = sum(math.exp(-y) * y**n / math.factorial(n) for n in range(20, 60))
+    return coherent_fock(alpha, 20), lambda x, p: np.exp(-((x - x0) ** 2) - (p - p0) ** 2) / np.pi, tail
+
+
+def _squeezed_case():
+    r, cutoff = -0.15, 24
+    vx, vp = math.exp(-2.0 * r) / 2.0, math.exp(2.0 * r) / 2.0
+    t = math.tanh(r) ** 2
+    tail = sum(t**m * math.comb(2 * m, m) / 4**m / math.cosh(r) for m in range(cutoff // 2, 60))
+    closed = lambda x, p: np.exp(-(x**2) / (2 * vx) - p**2 / (2 * vp)) / (2 * np.pi * math.sqrt(vx * vp))
+    return squeezed_vacuum_fock(r, cutoff), closed, tail
+
+
+@pytest.mark.parametrize("case", [_coherent_case, _squeezed_case])
+def test_wigner_matches_closed_form_at_low_cutoff(case):
+    state, closed, tail = case()
+    grid = wigner_grid(4.0, 41)[0]
+    assert tail < 1e-20
+    assert np.max(np.abs(wigner_fock(state, grid) - closed(grid[:, 0], grid[:, 1]))) <= 1e-10
+
+
+# Within trace distance T of the untruncated state, a Wigner value is off by
+# at most (2/pi) T, and a renormalized truncation that drops weight w is at
+# T = sqrt(w). norm_leak is 1 minus a float64 sum of |amplitude|^2, so it
+# resolves a lost weight only to a few eps: each step counts as at least 1e-15.
+def _leak_bound(*lost):
+    return 2.0 / math.pi * sum(math.sqrt(max(w, 1e-15)) for w in lost)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.floats(-1.0, 1.0),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    st.integers(8, 40),
+)
+def test_wigner_matches_gaussian_engine_within_counted_leak(r, alpha, cutoff):
+    grid = wigner_grid(4.0, 21)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        squeezed = squeezed_vacuum_fock(r, cutoff)
+        shifted = displace_fock(squeezed, 0, alpha)
+        pair = tmsv_fock(r, cutoff)
+    lost_by_shift = 1.0 - (1.0 - shifted.norm_leak) / (1.0 - squeezed.norm_leak)
+    gauss = displace(squeeze(vacuum(1), 0, r), 0, alpha)
+    dev = np.max(np.abs(wigner_fock(shifted, grid) - wigner_gaussian(gauss, grid)))
+    assert dev <= _leak_bound(squeezed.norm_leak, lost_by_shift)
+    two = two_mode_squeeze(vacuum(2), (0, 1), r)
+    for mode in (0, 1):
+        part = slice(2 * mode, 2 * mode + 2)
+        reduced = GaussianState(mean=two.mean[part], cov=two.cov[part, part])
+        dev = np.max(np.abs(wigner_fock(pair, grid, mode) - wigner_gaussian(reduced, grid)))
+        assert dev <= _leak_bound(pair.norm_leak)
+
+
 # -- cutoff 64, the documented limit ----------------------------------------------
 
 
@@ -163,7 +273,6 @@ def _cost(run):
     """Wall seconds and tracemalloc peak bytes of run() with cold kernel caches."""
     fock._beam_splitter_eig.cache_clear()
     fock._beam_splitter_blocks.cache_clear()
-    fock._displacement_eig.cache_clear()
     tracemalloc.start()
     try:
         start = time.perf_counter()

@@ -496,6 +496,12 @@ class TestTomography:
     def test_dataset_validation(self):
         with pytest.raises(ValueError, match="finite"):
             QuadratureDataset(thetas=np.array([0.0]), xs=np.array([np.nan]))
+        with pytest.raises(ValueError, match="non-empty"):
+            QuadratureDataset(thetas=np.array([]), xs=np.array([]))
+
+    def test_sampler_refuses_no_phases(self):
+        with pytest.raises(ValueError, match="at least one phase"):
+            sample_quadratures(vacuum(1), 0, [], 100, seed=47)
 
 
 class TestCsvWriters:

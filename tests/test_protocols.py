@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from sqzlab import fock, protocols
@@ -51,6 +52,15 @@ class TestTeleportation:
         result = teleport_gaussian(vacuum(1), 10.0)
         assert result.coherent_fidelity > 0.9999
         np.testing.assert_allclose(result.output_state.cov, vacuum(1).cov, atol=1e-8)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(0.0, 300.0))
+    def test_unit_gain_noise_is_exp_minus_2r_to_a_few_ulp(self, r):
+        # 0.5(1+g^2)cosh 2r - g sinh 2r cancels to 0 at g = 1 from r = 10 on
+        exact = math.exp(-2.0 * r)
+        result = teleport_gaussian(vacuum(1), r)
+        assert abs(result.added_noise_per_quadrature - exact) <= 4 * math.ulp(exact)
+        assert result.coherent_fidelity == pytest.approx(1.0 / (1.0 + exact), rel=1e-15)
 
     def test_fidelity_monotone_in_resource(self):
         rs = np.linspace(0.0, 3.0, 31)

@@ -41,6 +41,7 @@ SCHEMA_CASES = {
 }
 PHYSICS_CASES = {
     "no-samples": ("tomography-demo", {"n_per_phase": 0}, 0),
+    "no-phases": ("tomography-demo", {"n_phases": 0}, 0),
     "cutoff-above-limit": ("kitten", {"cutoff": 100}, 0),
     "zero-cutoff": ("herald-photon", {"cutoff": 0}, 0),
     "kitten-zero-cutoff": ("kitten", {"cutoff": 0}, 0),
