@@ -3,10 +3,11 @@
 Exit codes: 0 success, 2 unknown scenario or usage error (--param, --seed
 or --format with a config file, which only --out overrides), 3 rejected
 input: a schema violation (no param the scenario does not define, floats
-finite, ints integral, the seed a non-negative integer), a parameter
-the physics rejects or a Fock cutoff that clips a state by more than
-fock.LEAK_TOLERANCE, 4 file-system failure. Every error is one line on
-stderr. A failed run removes only the directories it created.
+finite, ints integral, the seed a non-negative integer), a parameter the
+physics rejects, a float overflow, a run out of memory or a Fock cutoff that
+clips a state by more than fock.LEAK_TOLERANCE, 4 file-system failure.
+Every error is one line on stderr; a failed run removes only the directories
+it created.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("run `sqz list` to see the catalog", file=sys.stderr)
         return EXIT_UNKNOWN_SCENARIO
-    except (ValueError, TruncationWarning) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, TruncationWarning, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import STRUCTURAL_TOL, _check_modes, _phase_space_points, _readonly
+from .gaussian import _check_beam_splitter, _check_modes, _phase_space_points, _readonly
 
 MAX_MODES = 3
 MAX_CUTOFF = 64
@@ -54,9 +54,9 @@ class FockState:
         so readers need not divide by the norm); amps[n1, ..., nN]
         multiplies |n1 ... nN>.
     norm_leak : float
-        Weight lost to truncation relative to the untruncated analytic
-        family the state was built from (0 for states built from explicit
-        amplitudes).
+        Weight lost to truncation: by the analytic family the state was
+        built from (0 for explicit amplitudes), then by each operation that
+        counts its loss, combined by _carry.
     """
 
     amps: np.ndarray
@@ -108,11 +108,20 @@ class FockState:
 
 def from_amplitudes(amps) -> FockState:
     """Build a state from explicit amplitudes, normalized."""
-    amps = np.asarray(amps, dtype=complex)
-    norm = np.linalg.norm(amps.ravel())
-    if norm == 0.0:
-        raise ZeroStateError("cannot normalize the zero vector")
-    return FockState(amps=amps / norm)
+    return FockState(amps=_unit(np.asarray(amps, dtype=complex), "from_amplitudes: the input")[0])
+
+
+def _unit(vec: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """(vec / |vec|, |vec|^2); raises ZeroStateError when |vec|^2 <= 1e-300."""
+    norm_sq = float(np.vdot(vec, vec).real)
+    if norm_sq <= 1e-300:
+        raise ZeroStateError(f"{what} is the zero vector")
+    return vec / np.sqrt(norm_sq), norm_sq
+
+
+def _carry(old: float, lost: float) -> float:
+    """1 - (1 - old)(1 - lost) without its cancellation, so exactly lost when old = 0."""
+    return old + lost * (1.0 - old)
 
 
 def _check_cutoff(cutoff: int) -> None:
@@ -136,9 +145,7 @@ def _finalize_family(raw: np.ndarray, kind: str, value) -> FockState:
     for the family or saying that none up to MAX_CUTOFF holds it.
     """
     label = _FAMILIES[kind].__name__
-    norm_sq = float(np.vdot(raw, raw).real)
-    if norm_sq <= 0.0:
-        raise ZeroStateError(f"{label}: truncated state has zero norm")
+    amps, norm_sq = _unit(raw, f"{label}: the truncated state")
     leak = max(0.0, 1.0 - norm_sq)
     if leak >= LEAK_TOLERANCE:
         advice = f"no cutoff up to {MAX_CUTOFF} holds it"
@@ -152,24 +159,17 @@ def _finalize_family(raw: np.ndarray, kind: str, value) -> FockState:
             TruncationWarning,
             stacklevel=3,
         )
-    return FockState(amps=raw / np.sqrt(norm_sq), norm_leak=leak)
+    return FockState(amps=amps, norm_leak=leak)
 
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockState:
-    """Coherent state |alpha>: amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!)."""
+    """Coherent state |alpha> = D(alpha)|0>, column 0 of the displacement kernel: amplitudes
+    exp(-|alpha|^2/2) alpha^n / sqrt(n!), exactly real (and alternating for alpha < 0) for real
+    alpha, which exact-parity checks downstream rely on."""
     _check_cutoff(cutoff)
     alpha = complex(alpha)
-    if alpha == 0:
-        raw = np.zeros(cutoff, dtype=complex)
-        raw[0] = 1.0
-        return _finalize_family(raw, "coherent", alpha)
-    n = np.arange(cutoff)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cutoff)))))
-    log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * log_fact
-    # exactly real (and alternating for alpha < 0) for real alpha, which
-    # exact-parity checks downstream rely on
-    raw = np.exp(log_mag) * _phases(alpha / abs(alpha), cutoff)
-    return _finalize_family(raw, "coherent", alpha)
+    row = next(_laguerre_rows(np.array([abs(alpha) ** 2]), cutoff))
+    return _finalize_family(row[:, 0] * _phases(alpha, cutoff), "coherent", alpha)
 
 
 def squeezed_vacuum_fock(r: float, cutoff: int) -> FockState:
@@ -255,10 +255,8 @@ def apply_annihilation(state: FockState, mode: int) -> tuple[FockState, float]:
     """
     _check_modes(state, mode)
     new = _apply_single_mode(np.asarray(state.amps), annihilation_matrix(state.cutoff), mode)
-    weight = float(np.vdot(new, new).real)
-    if weight <= 1e-300:
-        raise ZeroStateError("annihilation produced the zero state (no photons)")
-    return FockState(amps=new / np.sqrt(weight)), weight
+    amps, weight = _unit(new, f"apply_annihilation: a|psi> on mode {mode} (no photons)")
+    return FockState(amps=amps, norm_leak=state.norm_leak), weight
 
 
 @lru_cache(maxsize=8)
@@ -312,8 +310,7 @@ def beam_splitter_fock(
     """
     i, j = modes
     _check_modes(state, i, j)
-    if not abs(tau * tau + rho * rho - 1.0) <= STRUCTURAL_TOL:  # NaN fails too
-        raise ValueError(f"beam splitter requires tau^2 + rho^2 = 1, got tau={tau}, rho={rho}")
+    _check_beam_splitter(tau, rho)
     amps = np.moveaxis(np.asarray(state.amps), (i, j), (0, 1))
     out = np.empty_like(amps)
     for na, nb, block in _beam_splitter_blocks(state.cutoff, float(np.arctan2(rho, tau))):
@@ -340,8 +337,10 @@ def _laguerre_rows(y: np.ndarray, cutoff: int):
         yield cur
 
 
-def _phases(unit: complex, cutoff: int) -> np.ndarray:
-    """unit^n for n < cutoff; the cumulative product keeps a real unit exactly real."""
+def _phases(alpha: complex, cutoff: int) -> np.ndarray:
+    """e^(in arg alpha) for n < cutoff (1 at alpha = 0); the cumulative product keeps a real
+    alpha's phases exactly real."""
+    unit = alpha / abs(alpha) if alpha else 1.0
     return np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(cutoff - 1, unit))))
 
 
@@ -350,8 +349,7 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     alpha = complex(alpha)
     if not np.isfinite(alpha):
         raise ValueError(f"displacement alpha must be finite, got {alpha}")
-    unit = alpha / abs(alpha) if alpha else 1.0
-    above, below = _phases(unit, cutoff), _phases(-unit.conjugate(), cutoff)  # alpha^k, (-alpha*)^k
+    above, below = _phases(alpha, cutoff), _phases(-alpha.conjugate(), cutoff)  # alpha^k, (-alpha*)^k
     out = np.empty((cutoff, cutoff), dtype=complex)
     for n, g in enumerate(_laguerre_rows(np.array([abs(alpha) ** 2]), cutoff)):
         out[n:, n] = g[:, 0] * above[: cutoff - n]
@@ -362,20 +360,16 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
 def displace_fock(state: FockState, mode: int, alpha: complex) -> FockState:
     """Displace one mode by alpha with the exact truncated displacement, renormalized.
 
-    norm_leak becomes 1 - (1 - old)(1 - lost), where lost is the weight moved above the
-    cutoff; warns with TruncationWarning when lost >= LEAK_TOLERANCE.
+    norm_leak carries lost, the weight moved above the cutoff (see _carry); warns with
+    TruncationWarning when lost >= LEAK_TOLERANCE.
     """
     _check_modes(state, mode)
-    out = _apply_single_mode(
-        np.asarray(state.amps), displacement_matrix(alpha, state.cutoff), mode
-    )
-    kept = float(np.vdot(out, out).real)
-    if kept <= 1e-300:
-        raise ZeroStateError(f"displace_fock: cutoff {state.cutoff} keeps no weight")
+    shifted = _apply_single_mode(np.asarray(state.amps), displacement_matrix(alpha, state.cutoff), mode)
+    out, kept = _unit(shifted, f"displace_fock: the part below cutoff {state.cutoff}")
     lost = max(0.0, 1.0 - kept)
     if lost >= LEAK_TOLERANCE:
         warnings.warn(f"displace_fock: cutoff {state.cutoff} loses weight {lost:.3g}", TruncationWarning, stacklevel=2)
-    return FockState(amps=out / np.sqrt(kept), norm_leak=1.0 - (1.0 - state.norm_leak) * (1.0 - lost))
+    return FockState(amps=out, norm_leak=_carry(state.norm_leak, lost))
 
 
 def _padded(state: FockState, cutoff: int) -> np.ndarray:
@@ -384,44 +378,40 @@ def _padded(state: FockState, cutoff: int) -> np.ndarray:
     return out
 
 
-def _padded_pair(a: FockState, b: FockState) -> tuple[np.ndarray, np.ndarray]:
+def overlap(a: FockState, b: FockState) -> complex:
+    """Complex inner product <a|b> of the states as unit vectors (the constructor lets norm^2
+    differ from 1 by 1e-9); cutoffs are reconciled by zero padding."""
     if a.n_modes != b.n_modes:
         raise ValueError("states have different mode counts")
     d = max(a.cutoff, b.cutoff)
-    return _padded(a, d), _padded(b, d)
+    pa, pb = _padded(a, d), _padded(b, d)
+    return complex(np.vdot(pa, pb) / (np.linalg.norm(pa.ravel()) * np.linalg.norm(pb.ravel())))
 
 
 def fidelity(a: FockState, b: FockState) -> float:
-    """Pure-state fidelity |<a|b>|^2; cutoffs are reconciled by zero padding."""
-    pa, pb = _padded_pair(a, b)
-    na = np.linalg.norm(pa.ravel())
-    nb = np.linalg.norm(pb.ravel())
-    return float(abs(np.vdot(pa, pb)) ** 2 / (na * nb) ** 2)
-
-
-def overlap(a: FockState, b: FockState) -> complex:
-    """Complex inner product <a|b> of the normalized states."""
-    pa, pb = _padded_pair(a, b)
-    na = np.linalg.norm(pa.ravel())
-    nb = np.linalg.norm(pb.ravel())
-    return complex(np.vdot(pa, pb) / (na * nb))
+    """Pure-state fidelity |<a|b>|^2."""
+    return abs(overlap(a, b)) ** 2
 
 
 def tensor(a: FockState, b: FockState) -> FockState:
-    """Tensor product of two states (common cutoff via zero padding)."""
+    """Tensor product of two states (common cutoff via zero padding); both leaks carry."""
     if a.n_modes + b.n_modes > MAX_MODES:
         raise ValueError(f"product would exceed {MAX_MODES} modes")
     d = max(a.cutoff, b.cutoff)
     joint = np.tensordot(_padded(a, d), _padded(b, d), axes=0)
-    return FockState(amps=joint, norm_leak=max(a.norm_leak, b.norm_leak))
+    return FockState(amps=joint, norm_leak=_carry(a.norm_leak, b.norm_leak))
+
+
+def _mode_rows(state: FockState, mode: int) -> np.ndarray:
+    """The amplitudes as a (d, rest) matrix whose row n is the |n> branch of mode."""
+    _check_modes(state, mode)
+    return np.moveaxis(np.asarray(state.amps), mode, 0).reshape(state.cutoff, -1)
 
 
 def branch_probabilities(state: FockState, mode: int) -> np.ndarray:
     """Probability of finding n photons in one mode, for n = 0..d-1."""
-    _check_modes(state, mode)
-    amps = np.moveaxis(np.asarray(state.amps), mode, 0)
-    flat = amps.reshape(state.cutoff, -1)
-    return np.einsum("nk,nk->n", flat, flat.conj()).real
+    rows = _mode_rows(state, mode)
+    return np.einsum("nk,nk->n", rows, rows.conj()).real
 
 
 def project_number(state: FockState, mode: int, n: int) -> tuple[FockState, float]:
@@ -430,16 +420,14 @@ def project_number(state: FockState, mode: int, n: int) -> tuple[FockState, floa
     Returns the renormalized remaining state (that mode removed) and the
     outcome probability.
     """
-    _check_modes(state, mode)
+    rows = _mode_rows(state, mode)
     if state.n_modes == 1:
         raise ValueError("cannot project away the only mode")
     if not 0 <= n < state.cutoff:
         raise ValueError("photon number outside the cutoff")
-    amps = np.moveaxis(np.asarray(state.amps), mode, 0)[n]
-    prob = float(np.vdot(amps, amps).real)
-    if prob <= 1e-300:
-        raise ZeroStateError(f"projection onto |{n}> has zero probability")
-    return FockState(amps=amps / np.sqrt(prob), norm_leak=state.norm_leak), prob
+    rest = rows[n].reshape((state.cutoff,) * (state.n_modes - 1))
+    amps, prob = _unit(rest, f"project_number: the |{n}> branch of mode {mode}")
+    return FockState(amps=amps, norm_leak=state.norm_leak), prob
 
 
 def herald_click(state: FockState, mode: int) -> tuple[FockState, float]:
@@ -475,9 +463,8 @@ def reduce_to_dominant_branch(state: FockState, mode: int) -> FockState:
 
 def reduced_density_matrix(state: FockState, mode: int) -> np.ndarray:
     """Single-mode reduced density matrix (d x d), trace-normalized."""
-    _check_modes(state, mode)
-    amps = np.moveaxis(np.asarray(state.amps), mode, 0).reshape(state.cutoff, -1)
-    return amps @ amps.conj().T
+    rows = _mode_rows(state, mode)
+    return rows @ rows.conj().T
 
 
 def mean_photon_number(state: FockState, mode: int) -> float:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# STRUCTURAL_TOL bounds |tau^2 + rho^2 - 1| for a beam splitter (here and in
-# fock); the symmetry and uncertainty checks (see GaussianState) use 1e-12 and
-# 1e-14 relative to max|cov|; infer_effective_loss uses PHYSICS_TOL absolute.
+# STRUCTURAL_TOL bounds |tau^2 + rho^2 - 1| (_check_beam_splitter); the
+# symmetry and uncertainty checks (see GaussianState) use 1e-12 and 1e-14
+# relative to max|cov|; infer_effective_loss uses PHYSICS_TOL absolute.
 STRUCTURAL_TOL = 1e-10
 PHYSICS_TOL = 1e-9
 
@@ -143,6 +143,12 @@ def _check_modes(state, *modes: int):
         raise ValueError("the two modes must be distinct")
 
 
+def _check_beam_splitter(tau: float, rho: float):
+    """Raise ValueError unless tau^2 + rho^2 = 1 to STRUCTURAL_TOL; NaN fails too."""
+    if not abs(tau * tau + rho * rho - 1.0) <= STRUCTURAL_TOL:
+        raise ValueError(f"beam splitter requires tau^2 + rho^2 = 1, got tau={tau}, rho={rho}")
+
+
 def vacuum(n_modes: int) -> GaussianState:
     """The N-mode vacuum: zero mean, covariance I/2."""
     if n_modes < 1:
@@ -211,8 +217,7 @@ def beam_splitter(
 
     Both X and P pairs mix with the same real (tau, rho); no extra phases.
     """
-    if not abs(tau * tau + rho * rho - 1.0) <= STRUCTURAL_TOL:  # NaN fails too
-        raise ValueError(f"beam splitter requires tau^2 + rho^2 = 1, got tau={tau}, rho={rho}")
+    _check_beam_splitter(tau, rho)
     return _act(state, modes, _pair_block(tau * np.eye(2), -rho * np.eye(2), rho * np.eye(2)))
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import FockState
+from .fock import FockState, _mode_rows
 from .gaussian import GaussianState, _phase_space_points, _readonly
 from .gaussian import quadrature_mean, quadrature_variance
 
@@ -136,7 +136,7 @@ def _fock_marginal(state: FockState, mode: int, xs: np.ndarray):
     phase, so they are built once and only the rotation is per call.
     """
     d = state.cutoff
-    amps = np.moveaxis(np.asarray(state.amps), mode, 0).reshape(d, -1)
+    amps = _mode_rows(state, mode)
     waves = hermite_functions(d, xs)
 
     def pdf(theta: float) -> np.ndarray:

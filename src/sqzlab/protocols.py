@@ -171,9 +171,10 @@ def gw_phase_readout(
 
     A path-length phase phi displaces the dark-port mode along the
     momentum axis by sqrt(2) phi alpha (alpha the real bright-port
-    amplitude). The readout variance is the momentum-squeezed dark-port
-    variance degraded by detection loss eta_detect; the minimum detectable
-    phase is where the displacement matches one standard deviation.
+    amplitude). The readout variance is the squeezed dark-port variance,
+    degraded by detection loss eta_detect and read in the squeezer's own
+    frame, where no rounded cos(pi/2) multiplies e^(2r); the minimum
+    detectable phase is where the displacement matches one standard deviation.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -181,9 +182,9 @@ def gw_phase_readout(
         warnings.warn(
             f"|phi| = {abs(phi):.3g} outside the linearized regime", stacklevel=2
         )
-    dark = squeeze(vacuum(1), 0, dark_port_r, phi=np.pi / 2.0)  # momentum squeezed
+    dark = squeeze(vacuum(1), 0, dark_port_r)
     degraded = loss_channel(dark, 0, eta_detect)
-    variance = quadrature_variance(degraded, 0, np.pi / 2.0)
+    variance = quadrature_variance(degraded, 0, 0.0)
     displacement = SQRT2 * phi * alpha
     return PhaseEstimate(
         phi_true=float(phi),
@@ -217,18 +218,20 @@ def detection_efficiency_for_improvement(
 # -- conditional state engineering --------------------------------------------
 
 
+def _cat(alpha: complex, cutoff: int, sign: float) -> FockState:
+    """Normalized |alpha> + sign |-alpha>."""
+    plus, minus = (np.asarray(fock.coherent_fock(a, cutoff).amps) for a in (alpha, -alpha))
+    return fock.from_amplitudes(plus + sign * minus)
+
+
 def ideal_even_kitten(alpha: complex, cutoff: int) -> FockState:
     """Normalized |alpha> + |-alpha> (even photon numbers only)."""
-    plus = fock.coherent_fock(alpha, cutoff)
-    minus = fock.coherent_fock(-alpha, cutoff)
-    return fock.from_amplitudes(np.asarray(plus.amps) + np.asarray(minus.amps))
+    return _cat(alpha, cutoff, 1.0)
 
 
 def ideal_odd_kitten(alpha: complex, cutoff: int) -> FockState:
     """Normalized |alpha> - |-alpha> (odd photon numbers only)."""
-    plus = fock.coherent_fock(alpha, cutoff)
-    minus = fock.coherent_fock(-alpha, cutoff)
-    return fock.from_amplitudes(np.asarray(plus.amps) - np.asarray(minus.amps))
+    return _cat(alpha, cutoff, -1.0)
 
 
 def make_heralded_photon(r: float, cutoff: int) -> tuple[FockState, float]:

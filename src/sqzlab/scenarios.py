@@ -63,7 +63,7 @@ class Scenario:
 
 
 def _write_json(path: Path, payload: dict) -> Path:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="")
     return path
 
 
@@ -456,14 +456,15 @@ def run_scenario(config: ScenarioConfig) -> Path:
     """Run one scenario, then write its outputs and manifest; returns the manifest path.
 
     The runner computes every output before the first directory is made,
-    so UnknownScenarioError, SchemaError, a ValueError from the physics and
-    a fock.TruncationWarning (raised as an error when a cutoff clips a
-    state) all leave the file system untouched. An error while writing,
-    such as an OSError, propagates after removing the directories this run
-    created; a directory that existed before the run is left in place.
+    so UnknownScenarioError, SchemaError, a ValueError from the physics, a
+    MemoryError, and a fock.TruncationWarning or numpy overflow, invalid or
+    divide warning (each raised as an error) leave the file system
+    untouched. An error while writing, such as an OSError, propagates after
+    removing the directories this run created; a directory that existed
+    before the run is left in place.
     """
     scenario, params = resolve(config)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
         warnings.simplefilter("error", fock.TruncationWarning)
         outputs = scenario.runner(params, config.seed)
     outdir = Path(config.output_dir) if config.output_dir else default_output_dir(config.scenario)

@@ -198,6 +198,23 @@ class TestAnnihilation:
         _, weight = apply_annihilation(c, 0)
         assert weight == pytest.approx(0.81, abs=1e-9)
 
+    def test_keeps_the_input_leak(self):
+        with pytest.warns(TruncationWarning):
+            clipped = squeezed_vacuum_fock(0.9, 12)
+        assert clipped.norm_leak > 1e-3
+        assert apply_annihilation(clipped, 0)[0].norm_leak == clipped.norm_leak
+
+
+class TestTensor:
+    def test_carries_both_leaks(self):
+        with pytest.warns(TruncationWarning):
+            a, b = squeezed_vacuum_fock(0.9, 12), coherent_fock(2.0, 8)
+        assert min(a.norm_leak, b.norm_leak) > 1e-3
+        kept = (1.0 - a.norm_leak) * (1.0 - b.norm_leak)
+        assert tensor(a, b).norm_leak == pytest.approx(1.0 - kept, rel=1e-15)
+        # a leak-free factor carries the other leak exactly
+        assert tensor(number_state(0, 12), a).norm_leak == a.norm_leak
+
 
 class TestBeamSplitterFock:
     def test_single_photon_block(self):
@@ -482,6 +499,12 @@ class TestValidationAndSerialization:
     def test_cutoff_limit(self):
         with pytest.raises(ValueError):
             from_amplitudes(np.ones(100))
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-160])
+    def test_zero_norm_refused(self, scale):
+        # the one zero-state rule: norm^2 <= 1e-300, here 0 and 1e-320
+        with pytest.raises(ZeroStateError, match="from_amplitudes: the input is the zero vector"):
+            from_amplitudes(scale * np.eye(4)[2])
 
     @pytest.mark.parametrize("cutoff", [0, -3])
     @pytest.mark.parametrize(

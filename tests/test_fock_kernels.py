@@ -24,6 +24,7 @@ from sqzlab.fock import (
     displace_fock,
     displacement_matrix,
     from_amplitudes,
+    quadrature_mean_and_cov,
     reduced_density_matrix,
     squeezed_vacuum_fock,
     tensor,
@@ -168,6 +169,21 @@ def test_displacement_matrix_matches_mpmath(alpha, cutoff):
     assert np.max(np.abs(displacement_matrix(alpha, cutoff) - mp_displacement(complex(alpha), cutoff))) <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "alpha, cutoff", [(1.5, 20), (-3.0j, 32), (2.9 - 2.9j, 64), (-2.2 + 1.1j, 64), (-3.0, 48), (0.0, 5)]
+)
+def test_coherent_amplitudes_match_mpmath(alpha, cutoff):
+    with mp.workdps(40):
+        a = mp.mpc(complex(alpha).real, complex(alpha).imag)
+        column = [mp.exp(-abs(a) ** 2 / 2) * a**n / mp.sqrt(mp.factorial(n)) for n in range(cutoff)]
+        norm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in column))
+        exact = np.array([complex(c / norm) for c in column])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        state = coherent_fock(alpha, cutoff)
+    assert np.max(np.abs(state.amps - exact)) <= 4e-16
+
+
 def test_displacement_far_outside_the_cutoff_is_zero_not_nan():
     assert not np.any(displacement_matrix(1e6 + 1e6j, 64))
     with pytest.raises(ZeroStateError):
@@ -264,6 +280,34 @@ def test_wigner_matches_gaussian_engine_within_counted_leak(r, alpha, cutoff):
         reduced = GaussianState(mean=two.mean[part], cov=two.cov[part, part])
         dev = np.max(np.abs(wigner_fock(pair, grid, mode) - wigner_gaussian(reduced, grid)))
         assert dev <= _leak_bound(pair.norm_leak)
+
+
+# The truncated state is within sum sqrt(w) of the exact one in norm, one
+# term per truncation step, and that difference sits at photon numbers near
+# the cutoff d, where X^2, P^2 and XP have matrix elements of order d; so
+# every moment is within d sum sqrt(w) (the worst case over 400 random
+# draws read 0.42 of it). Each w is floored at 1e-15 as above.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.floats(-1.0, 1.0),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    st.integers(8, 40),
+)
+def test_moments_match_gaussian_engine_within_counted_leak(r, alpha, cutoff):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        squeezed = squeezed_vacuum_fock(r, cutoff)
+        shifted = displace_fock(squeezed, 0, alpha)
+        pair = tmsv_fock(r, cutoff)
+    lost_by_shift = 1.0 - (1.0 - shifted.norm_leak) / (1.0 - squeezed.norm_leak)
+    cases = [
+        (shifted, displace(squeeze(vacuum(1), 0, r), 0, alpha), (squeezed.norm_leak, lost_by_shift)),
+        (pair, two_mode_squeeze(vacuum(2), (0, 1), r), (pair.norm_leak,)),
+    ]
+    for state, gauss, lost in cases:
+        mean, cov = quadrature_mean_and_cov(state)
+        dev = max(np.max(np.abs(mean - gauss.mean)), np.max(np.abs(cov - gauss.cov)))
+        assert dev <= cutoff * sum(math.sqrt(max(w, 1e-15)) for w in lost)
 
 
 # -- cutoff 64, the documented limit ----------------------------------------------

@@ -161,6 +161,16 @@ class TestGwPhaseReadout:
         sqz = gw_phase_readout(1e-6, 1e3, r, 1.0)
         assert sqz.snr / vac.snr == pytest.approx(math.exp(r), abs=1e-6)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(0.0, 300.0), st.floats(0.0, 1.0))
+    def test_readout_variance_is_closed_form_to_a_few_ulp(self, r, eta):
+        # eta e^(-2r)/2 + (1 - eta)/2, read on the squeezed axis itself, so no
+        # e^(2r) times a rounded cos(pi/2) swamps it
+        exact = eta * math.exp(-2.0 * r) / 2.0 + (1.0 - eta) / 2.0
+        est = gw_phase_readout(1e-6, 1e3, r, eta)
+        assert abs(est.readout_variance - exact) <= 4 * math.ulp(exact)
+        assert est.snr == pytest.approx(math.sqrt(2.0) * 1e-3 / math.sqrt(exact), rel=1e-14)
+
     def test_snr_linear_in_alpha_and_phi(self):
         base = gw_phase_readout(1e-6, 1e3, 0.3)
         assert gw_phase_readout(1e-6, 3e3, 0.3).snr == pytest.approx(3 * base.snr, rel=1e-12)

@@ -15,6 +15,11 @@ from hypothesis import given, settings, strategies as st
 from sqzlab.cli import main
 from sqzlab.scenarios import ScenarioConfig, run_scenario
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -109,14 +114,18 @@ def test_failed_run_keeps_existing_directory_as_it_was(case, tmp_path):
     assert (keep / "notes.txt").read_text() == "kept"
 
 
-def _sqz_run(scenario, param, out):
-    """`sqz run` in a fresh interpreter, where warnings reach stderr unfiltered."""
+def _sqz_run(scenario, param, out, preexec_fn=None):
+    """`sqz run` in a fresh interpreter, where warnings reach stderr unfiltered.
+
+    One BLAS thread, so an address-space limit counts only the run's arrays.
+    """
     return subprocess.run(
         [sys.executable, "-m", "sqzlab.cli", "run", scenario, "--param", param, "--out", str(out)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
         timeout=120,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -146,6 +155,31 @@ def test_command_line_clipped_state_names_the_cutoff_that_holds_it(tmp_path):
     proc = _sqz_run("herald-photon", "cutoff=2", tmp_path / "out")
     assert proc.returncode == 3
     assert proc.stderr == "error: tmsv_fock: cutoff 2 loses weight 6.23e-06; cutoff 3 holds it\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", ["teleport-sweep", "gw-snr-sweep"])
+def test_command_line_float_overflow_is_one_line_without_numpy_warnings(scenario, tmp_path):
+    proc = _sqz_run(scenario, "r_max=400", tmp_path / "out")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def _two_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+# 17.9 GiB and 2.98 GiB arrays, refused by the 2 GiB address-space limit
+# before any page is touched
+@pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+@pytest.mark.parametrize(
+    "scenario, param", [("tomography-demo", "n_per_phase=100000000"), ("spectrum-drift-demo", "duration_s=100")]
+)
+def test_command_line_out_of_memory_is_one_line(scenario, param, tmp_path):
+    proc = _sqz_run(scenario, param, tmp_path / "out", preexec_fn=_two_gib_address_space)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1, proc.stderr
     assert not (tmp_path / "out").exists()
 
 
