@@ -25,7 +25,7 @@ MAX_MODES = 3
 MAX_CUTOFF = 64
 
 # wigner_fock evaluates this many grid points per pass, which bounds its
-# working memory to a few _WIGNER_CHUNK x cutoff complex arrays.
+# working memory to a few _WIGNER_CHUNK x cutoff arrays.
 _WIGNER_CHUNK = 4096
 
 #: Constructors warn when the truncated analytic family loses more weight
@@ -324,16 +324,17 @@ def _laguerre_rows(y: np.ndarray, cutoff: int):
 
     <n+k|D(alpha)|n> = g_n^k(|alpha|^2) e^(ik arg alpha) (Cahill & Glauber, Phys. Rev. 177, 1882
     (1969)). Row 0 is the Poisson amplitude and the three-term Laguerre recurrence in n gives the
-    rest; each value is a matrix element of a unitary, so none overflows.
+    rest in place (a yielded row is overwritten two rows on); each is a unitary's element: no overflow.
     """
     k = np.arange(cutoff)[:, None]
-    prev = np.zeros((cutoff, y.size))
+    prev, work = np.zeros((cutoff, y.size)), np.empty((cutoff, y.size))
     cur = np.cumprod(np.vstack([np.exp(-0.5 * y), np.sqrt(y) / np.sqrt(k[1:])]), axis=0)
     yield cur
     for n in range(1, cutoff):
-        kn = k[: cutoff - n]
-        nxt = (2 * n - 1 + kn - y) * cur[: cutoff - n] - np.sqrt((n - 1) * (n - 1 + kn)) * prev[: cutoff - n]
-        prev, cur = cur, nxt / np.sqrt(n * (n + kn))
+        kn, nxt, step = k[: cutoff - n], prev[: cutoff - n], work[: cutoff - n]
+        nxt *= -np.sqrt((n - 1) * (n - 1 + kn))
+        nxt += np.multiply(np.subtract(2 * n - 1 + kn, y, out=step), cur[: cutoff - n], out=step)
+        prev, cur = cur, np.divide(nxt, np.sqrt(n * (n + kn)), out=nxt)
         yield cur
 
 
@@ -506,10 +507,11 @@ def wigner_fock(state: FockState, grid, mode: int = 0) -> np.ndarray:
     The vacuum peaks at 1/pi. The mode may be entangled: with rho its reduced density matrix
     and beta = sqrt(2)(x + ip), W = (1/pi) sum_{m,n} rho_nm (-1)^n <m|D(beta)|n>
     = (1/pi) [c_0 + 2 Re sum_k e^(ik arg beta) c_k], c_k = sum_n (-1)^n rho_{n,n+k} g_n^k(|beta|^2)
-    (Cahill & Glauber). Points are taken by radius, a chunk at a time, with the kernel run once
-    per distinct radius in a chunk.
+    (Cahill & Glauber), in real arithmetic where rho is real (kittens, squeezed and number states).
+    Points are taken by radius, a chunk at a time, with the kernel run once per distinct radius.
     """
     rho = reduced_density_matrix(state, mode)
+    rho = rho if rho.imag.any() else rho.real
     points = _phase_space_points(grid, 2)
     d = state.cutoff
     y = 2.0 * np.sum(points**2, axis=1)
@@ -519,7 +521,7 @@ def wigner_fock(state: FockState, grid, mode: int = 0) -> np.ndarray:
         chunk = order[start : start + _WIGNER_CHUNK]
         first = np.concatenate(([True], np.diff(y[chunk]) != 0))
         radius = np.cumsum(first) - 1
-        coeff = np.zeros((d, radius[-1] + 1), dtype=complex)
+        coeff = np.zeros((d, radius[-1] + 1), dtype=rho.dtype)
         for n, g in enumerate(_laguerre_rows(y[chunk][first], d)):
             coeff[: d - n] += (-1.0) ** n * rho[n, n:, None] * g
         unit = np.exp(1j * np.arctan2(points[chunk, 1], points[chunk, 0]))

@@ -198,7 +198,10 @@ def squeeze(state: GaussianState, mode: int, r: float, phi: float = 0.0) -> Gaus
     if phi != 0.0:
         rot = _rotation(phi)
         block = rot @ block @ rot.T
-    return _act(state, (mode,), block)
+    try:
+        return _act(state, (mode,), block)
+    except ValueError as err:
+        raise ValueError(f"squeeze r = {r}: {err}") from None
 
 
 def two_mode_squeeze(state: GaussianState, modes: tuple[int, int], r: float) -> GaussianState:

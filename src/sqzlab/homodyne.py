@@ -99,7 +99,7 @@ def load_dataset_csv(path) -> QuadratureDataset:
 def hermite_functions(n_max: int, xs: np.ndarray) -> np.ndarray:
     """Harmonic-oscillator eigenfunctions phi_0..phi_{n_max-1} on a grid.
 
-    Uses the stable two-term recursion; rows are n, columns follow xs.
+    Uses the three-term recurrence in n, stable for these normalized functions; rows are n, columns follow xs.
     """
     xs = np.asarray(xs, dtype=float)
     out = np.empty((n_max, xs.size))
@@ -132,8 +132,9 @@ def quadrature_pdf(state, mode: int, theta: float, xs: np.ndarray) -> np.ndarray
 def _fock_marginal(state: FockState, mode: int, xs: np.ndarray):
     """Quadrature density of one mode on xs, as a function of the phase.
 
-    The Hermite basis and the mode-major amplitudes do not depend on the
-    phase, so they are built once and only the rotation is per call.
+    The Hermite basis and the mode-major amplitudes do not depend on the phase, so they are built
+    once; per phase, two real products of the table with the rotated amplitudes' real and imaginary
+    parts (no complex copy of the table) give re^2 + im^2, summed over the other modes' branches.
     """
     d = state.cutoff
     amps = _mode_rows(state, mode)
@@ -141,8 +142,8 @@ def _fock_marginal(state: FockState, mode: int, xs: np.ndarray):
 
     def pdf(theta: float) -> np.ndarray:
         rotated = amps * np.exp(-1j * theta * np.arange(d))[:, None]
-        branches = waves.T @ rotated
-        return np.einsum("xk,xk->x", branches, branches.conj()).real
+        re, im = waves.T @ rotated.real, waves.T @ rotated.imag
+        return np.einsum("xk,xk->x", re, re) + np.einsum("xk,xk->x", im, im)
 
     return pdf
 

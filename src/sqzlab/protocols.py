@@ -27,6 +27,7 @@ from .gaussian import (
 )
 
 SQRT2 = np.sqrt(2.0)
+_E2R_REACH = 354.891356446692  # ln(DBL_MAX)/2, the largest r whose e^(2r) is a finite float64
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,16 @@ def teleport_gaussian(
     resource with parameter r_resource.
 
     The channel adds 0.25[(1-g)^2 e^(2r) + (1+g)^2 e^(-2r)] to each quadrature variance, with no
-    cancellation, so it is accurate while e^(2r) is finite. At unit gain that is exp(-2r), the
+    cancellation (r above ln(DBL_MAX)/2 ~ 354.9 is refused). At unit gain that is exp(-2r), the
     mean is kept and the coherent-state fidelity is 1 / (1 + exp(-2r)), independent of the input
     amplitude. Non-unit gain is exposed for sweeps but the fidelity benchmark assumes gain 1.
     """
     if input_state.n_modes != 1:
         raise ValueError("teleportation takes a single-mode input")
-    if r_resource < 0:
-        raise ValueError("resource squeezing must be >= 0")
+    if not 0 <= r_resource <= _E2R_REACH:
+        raise ValueError(
+            f"resource squeezing r = {r_resource} is outside [0, {_E2R_REACH:.1f}]: e^(2r) overflows a float64 above it"
+        )
     g = float(gain)
     added = 0.25 * ((1.0 - g) ** 2 * np.exp(2.0 * r_resource) + (1.0 + g) ** 2 * np.exp(-2.0 * r_resource))
     out = GaussianState(

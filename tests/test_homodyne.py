@@ -26,7 +26,7 @@ from sqzlab.homodyne import (
     wigner_grid,
     write_table,
 )
-from sqzlab.protocols import teleport_wigner_check
+from sqzlab.protocols import make_heralded_photon, teleport_wigner_check
 
 TEN_DB_R = math.log(10.0) / 2.0
 
@@ -135,6 +135,36 @@ class TestQuadraturePdf:
         g = quadrature_pdf(displace(vacuum(1), 0, alpha), 0, 0.4, xs)
         f = quadrature_pdf(fock.coherent_fock(alpha, 40), 0, 0.4, xs)
         np.testing.assert_allclose(g, f, atol=1e-8)
+
+    @staticmethod
+    def complex_marginal(state, mode, theta, xs):
+        # the marginal as one complex product of the Hermite table with the
+        # rotated amplitudes, |branch|^2 summed over the other modes
+        d = state.cutoff
+        rows = np.moveaxis(np.asarray(state.amps), mode, 0).reshape(d, -1)
+        branches = homodyne.hermite_functions(d, xs).T @ (rows * np.exp(-1j * theta * np.arange(d))[:, None])
+        return np.einsum("xk,xk->x", branches, branches.conj()).real
+
+    # (state, mode, bound on |difference| over the peak)
+    COMPLEX_PRODUCT_CASES = {
+        # one nonzero amplitude, so each density is one product in any order: bit-equal
+        "heralded-photon": lambda: (make_heralded_photon(0.05, 12)[0], 0, 0.0),
+        # the real products sum their terms in another order: measured 6e-16
+        # and 7e-16 of the peak on the entangled modes, 1.2e-15 on the
+        # coherent state and 1.9e-15 on the displaced squeezed state
+        "tmsv-mode-0": lambda: (fock.tmsv_fock(0.5, 20), 0, 1e-15),
+        "tmsv-mode-1": lambda: (fock.tmsv_fock(0.7, 24), 1, 1e-15),
+        "coherent": lambda: (fock.coherent_fock(0.9 - 0.4j, 30), 0, 4e-15),
+        "displaced-squeezed": lambda: (fock.displace_fock(fock.squeezed_vacuum_fock(0.5, 30), 0, 0.8 + 0.4j), 0, 4e-15),
+    }
+
+    @pytest.mark.parametrize("name", COMPLEX_PRODUCT_CASES)
+    def test_matches_complex_product(self, name):
+        state, mode, bound = self.COMPLEX_PRODUCT_CASES[name]()
+        xs = np.linspace(-9.0, 9.0, 4097)
+        for theta in np.linspace(0.0, math.pi, 13):
+            ref = self.complex_marginal(state, mode, theta, xs)
+            assert np.max(np.abs(quadrature_pdf(state, mode, theta, xs) - ref)) <= bound * np.max(ref)
 
     def test_entangled_mode_marginal(self):
         # reduced marginal of one TMSV mode is the thermal Gaussian

@@ -99,6 +99,15 @@ class TestTeleportation:
         with pytest.raises(ValueError):
             teleport_gaussian(vacuum(2), 1.0)
 
+    def test_resource_whose_e2r_overflows_rejected(self):
+        # ln(DBL_MAX)/2 is the largest r whose e^(2r) is finite
+        reach = math.log(np.finfo(float).max) / 2
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # as run_scenario runs it
+            assert teleport_gaussian(vacuum(1), reach).added_noise_per_quadrature == math.exp(-2.0 * reach)
+        for r in (float(np.nextafter(reach, np.inf)), math.nan):
+            with pytest.raises(ValueError, match=r"^resource squeezing r = .* is outside \[0, 354\.9\]: e\^\(2r\) overflows"):
+                teleport_gaussian(vacuum(1), r)
+
 
 class TestTeleportWignerCheck:
     def test_coherent_input_agreement(self):
