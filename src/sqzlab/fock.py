@@ -15,11 +15,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import _check_beam_splitter, _check_modes, _phase_space_points, _readonly
+from .gaussian import GaussianState, _check_beam_splitter, _check_modes, _phase_space_points, _readonly
+from .gaussian import squeeze, symplectic_form, two_mode_squeeze, vacuum
 
 MAX_MODES = 3
 MAX_CUTOFF = 64
@@ -28,8 +28,7 @@ MAX_CUTOFF = 64
 # working memory to a few _WIGNER_CHUNK x cutoff arrays.
 _WIGNER_CHUNK = 4096
 
-#: Constructors warn when the truncated analytic family loses more weight
-#: than this.
+#: The state constructors warn when the cutoff loses more weight than this.
 LEAK_TOLERANCE = 1e-6
 
 FSTATE_FORMAT_VERSION = "fstate-v1"
@@ -138,28 +137,73 @@ def _check_squeezing(r: float) -> None:
         raise ValueError(f"squeezing |r| = {abs(r)} is out of range: cosh(r) overflows a float64") from None
 
 
-def _finalize_family(raw: np.ndarray, kind: str, value) -> FockState:
-    """Normalize a truncated analytic family and record the lost weight.
-
-    Above LEAK_TOLERANCE it warns, naming the cutoff suggest_cutoff finds
-    for the family or saying that none up to MAX_CUTOFF holds it.
-    """
-    label = _FAMILIES[kind].__name__
+def _finalize_family(raw: np.ndarray, kind: str | None = None, value=None) -> FockState:
+    """Normalize amplitudes built below a cutoff and record the lost weight. Above LEAK_TOLERANCE it
+    warns; for a named family (kind None is from_gaussian's) it names the cutoff suggest_cutoff finds,
+    or says that none up to MAX_CUTOFF holds it."""
+    label = _FAMILIES[kind].__name__ if kind else "from_gaussian"
     amps, norm_sq = _unit(raw, f"{label}: the truncated state")
     leak = max(0.0, 1.0 - norm_sq)
     if leak >= LEAK_TOLERANCE:
-        advice = f"no cutoff up to {MAX_CUTOFF} holds it"
-        if raw.shape[0] < MAX_CUTOFF:
+        hint = f"; no cutoff up to {MAX_CUTOFF} holds it" if kind else ""
+        if kind and raw.shape[0] < MAX_CUTOFF:  # at MAX_CUTOFF, suggest_cutoff would build this state again
             try:
-                advice = f"cutoff {suggest_cutoff(kind, value, LEAK_TOLERANCE)} holds it"
+                hint = f"; cutoff {suggest_cutoff(kind, value, LEAK_TOLERANCE)} holds it"
             except ValueError:
                 pass
-        warnings.warn(
-            f"{label}: cutoff {raw.shape[0]} loses weight {leak:.3g}; {advice}",
-            TruncationWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"{label}: cutoff {raw.shape[0]} loses weight {leak:.3g}{hint}", TruncationWarning, stacklevel=3)
     return FockState(amps=amps, norm_leak=leak)
+
+
+def _gaussian_amplitudes(state: GaussianState, cutoff: int) -> np.ndarray:
+    """<n|psi>, every n_i < cutoff, of a pure Gaussian state: exact, so sum |psi|^2 = 1 - leak.
+
+    sqrt(n_i + 1) psi[n + e_i] = gamma_i psi[n] + sum_j B_ij sqrt(n_j) psi[n - e_j] (Miatto & Quesada,
+    Quantum 4, 366 (2020)): B = M (I + N)^-1, M_ij = <da_i da_j>, N_ij = <da_i^dag da_j>, gamma = alpha
+    - B alpha*, alpha = <a>, psi[0] = exp(-|alpha|^2/2 + alpha^T* B alpha*/2) det(I + N)^(-1/4). I + N is
+    inverted by eigenvalue (each >= 1); one below 1e-12 of the largest is a mode lost to rounding (r ~ 20
+    behind a beam splitter), taken as vacuum. Refuses a mixed state, and a sigma beyond float64's reach.
+    """
+    _check_cutoff(cutoff)
+    n, cov = state.n_modes, state.cov
+    if n > MAX_MODES:
+        raise ValueError(f"n_modes must be between 1 and {MAX_MODES}")
+    impurity = np.linalg.eigvalsh(cov + 0.5j * symplectic_form(n))[n - 1]
+    if impurity > 1e-10 * max(1.0, float(np.max(np.abs(cov)))):
+        raise ValueError(f"from_gaussian: the state is mixed (sigma + i Omega/2 has eigenvalue {impurity:.3g} > 0)")
+    rows = cov[0::2] + 1j * cov[1::2]  # row i: the covariances of x_i + i p_i
+    m = 0.5 * (rows[:, 0::2] + 1j * rows[:, 1::2])
+    q, vecs = np.linalg.eigh(0.5 * (rows.conj()[:, 0::2] + 1j * rows.conj()[:, 1::2] + np.eye(n)))
+    q = np.where(q > 1e-12 * q[-1], np.maximum(q, 1.0), np.inf)
+    b = m @ (vecs / q) @ vecs.conj().T
+    alpha = (state.mean[0::2] + 1j * state.mean[1::2]) / np.sqrt(2.0)
+    gamma = alpha - b @ alpha.conj()
+    root, psi = np.sqrt(np.arange(cutoff)), np.zeros((cutoff,) * n, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        log_vacuum = 0.5 * (alpha.conj() @ b @ alpha.conj() - np.vdot(alpha, alpha))
+        psi[(0,) * n] = np.exp(log_vacuum - 0.25 * np.sum(np.log(q[q < np.inf])))
+        for i in reversed(range(n)):
+            line = psi[(0,) * i]  # n_i along axis 0, the modes after i beyond it
+            # per later mode j: the slab axes before j's, and B_ij sqrt(n_j) shaped along j's
+            later = [((slice(None),) * (j - i - 1), b[i, j] * root[1:].reshape((-1,) + (1,) * (n - j - 1)))
+                     for j in range(i + 1, n)]
+            for k in range(cutoff - 1):
+                # at k = 0 root[0] = 0 meets line[-1], which is still zero
+                step = gamma[i] * line[k] + (b[i, i] * root[k]) * line[k - 1]
+                for lead, coupling in later:
+                    step[lead + (slice(1, None),)] += line[k][lead + (slice(None, -1),)] * coupling
+                line[k + 1] = step / root[k + 1]
+        norm_sq = float(np.vdot(psi, psi).real)
+    if not norm_sq <= 1.0 + 1e-9:  # NaN fails too
+        raise ValueError(f"from_gaussian: amplitudes sum to {norm_sq:.3g} > 1; sigma is beyond float64's reach")
+    return psi
+
+
+def from_gaussian(state: GaussianState, cutoff: int) -> FockState:
+    """A pure Gaussian state of up to MAX_MODES modes in the number basis, exact below the cutoff and
+    independent of it; norm_leak is the exact lost weight (a TruncationWarning from LEAK_TOLERANCE on).
+    A mixed state is refused by name."""
+    return _finalize_family(_gaussian_amplitudes(state, cutoff))
 
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockState:
@@ -173,29 +217,15 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
 
 
 def squeezed_vacuum_fock(r: float, cutoff: int) -> FockState:
-    """Single-mode squeezed vacuum in the number basis.
-
-    Only even photon numbers appear: the amplitude of |2m> is
-    (-tanh r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r)).
-    """
-    _check_cutoff(cutoff)
+    """Squeezed vacuum squeeze(vacuum(1), 0, r): amplitude (-tanh r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r)) on |2m>."""
     _check_squeezing(r)
-    raw = np.zeros(cutoff, dtype=complex)
-    raw[0] = 1.0 / math.sqrt(math.cosh(r))
-    for m in range(1, (cutoff - 1) // 2 + 1):
-        # ratio of successive even amplitudes: -tanh(r) sqrt((2m-1)/(2m))
-        raw[2 * m] = raw[2 * m - 2] * (-math.tanh(r)) * math.sqrt((2 * m - 1) / (2 * m))
-    return _finalize_family(raw, "squeezed", r)
+    return _finalize_family(_gaussian_amplitudes(squeeze(vacuum(1), 0, r), cutoff), "squeezed", r)
 
 
 def tmsv_fock(r: float, cutoff: int) -> FockState:
-    """Two-mode squeezed vacuum: amplitudes tanh^n(r)/cosh(r) on |nn>."""
-    _check_cutoff(cutoff)
+    """Two-mode squeezed vacuum two_mode_squeeze(vacuum(2), (0, 1), r): amplitudes tanh^n(r)/cosh(r) on |nn>."""
     _check_squeezing(r)
-    raw = np.zeros((cutoff, cutoff), dtype=complex)
-    diag = np.tanh(r) ** np.arange(cutoff) / np.cosh(r)
-    raw[np.arange(cutoff), np.arange(cutoff)] = diag
-    return _finalize_family(raw, "tmsv", r)
+    return _finalize_family(_gaussian_amplitudes(two_mode_squeeze(vacuum(2), (0, 1), r), cutoff), "tmsv", r)
 
 
 _FAMILIES = {"coherent": coherent_fock, "squeezed": squeezed_vacuum_fock, "tmsv": tmsv_fock}
@@ -218,9 +248,7 @@ def suggest_cutoff(kind: str, value, tail_mass: float = 1e-8) -> int:
     kept = np.cumsum(branch_probabilities(state, 0) * (1.0 - state.norm_leak))
     holds = np.flatnonzero(1.0 - kept <= tail_mass)
     if holds.size == 0:
-        raise ValueError(
-            f"{kind} {value}: no cutoff up to {MAX_CUTOFF} loses at most {tail_mass:.3g}"
-        )
+        raise ValueError(f"{kind} {value}: no cutoff up to {MAX_CUTOFF} loses at most {tail_mass:.3g}")
     return int(holds[0]) + 1
 
 
@@ -259,43 +287,19 @@ def apply_annihilation(state: FockState, mode: int) -> tuple[FockState, float]:
     return FockState(amps=amps, norm_leak=state.norm_leak), weight
 
 
-@lru_cache(maxsize=8)
-def _beam_splitter_eig(cutoff: int) -> tuple:
-    """Eigen-solve of each photon-number block's coupling matrix C_N.
-
-    C_N is the real symmetric tridiagonal with sqrt((n_a + 1) n_b) beside
-    the diagonal, n_a = max(0, N - d + 1) .. min(N, d - 1). It does not
-    depend on the angle, so one solve per block serves every angle.
-    Returns (n_a, n_b, lambda, D V) per block, C_N = V diag(lambda) V^T and
-    D = diag(i^k); about (2/3) d^3 complex numbers per cutoff.
-    """
-    blocks = []
+def _beam_splitter_blocks(cutoff: int, theta: float):
+    """Yield exp(theta (a b^dag - a^dag b)) as (n_a, n_b, block), one block per total photon number N,
+    which the generator conserves, so truncation keeps it unitary. Each block is a real antisymmetric
+    tridiagonal K = i theta D C_N D^-1 (Miatto & Quesada, Quantum 4, 366 (2020)), C_N real symmetric with
+    sqrt((n_a + 1) n_b) beside the diagonal and D = diag(i^k): exp(K) = Re(D V e^{i theta lambda} (D V)^H)
+    from C_N = V diag(lambda) V^T. Orthogonal to 4.4e-15 at d = 64."""
     for total in range(2 * cutoff - 1):
         na = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
         couple = np.sqrt((na[:-1] + 1.0) * (total - na[:-1]))
         vals, vecs = np.linalg.eigh(np.diag(couple, 1) + np.diag(couple, -1))
         # i^k exactly, so the similarity adds no rounding
-        phase = np.array([1.0, 1j, -1.0, -1j])[np.arange(na.size) % 4]
-        blocks.append((na, total - na, vals, phase[:, None] * vecs))
-    return tuple(blocks)
-
-
-@lru_cache(maxsize=8)
-def _beam_splitter_blocks(cutoff: int, theta: float) -> tuple:
-    """exp(theta (a b^dag - a^dag b)) as one block per total photon number N.
-
-    The generator conserves N = n_a + n_b, so truncation keeps it unitary.
-    Each block is a real antisymmetric tridiagonal K = i theta D C_N D^-1
-    (Miatto & Quesada, Quantum 4, 366 (2020)), so
-    exp(K) = Re(D V e^{i theta lambda} (D V)^H) from the cached eigen-solve
-    of C_N: a new angle at a known cutoff costs one complex product per
-    block and no eigen-solve. Orthogonal to 4.4e-15 at d = 64, where `expm`
-    gave 1.2e-12. Returns (n_a, n_b, block).
-    """
-    return tuple(
-        (na, nb, ((dv * np.exp(1j * theta * vals)) @ dv.conj().T).real)
-        for na, nb, vals, dv in _beam_splitter_eig(cutoff)
-    )
+        dv = np.array([1.0, 1j, -1.0, -1j])[np.arange(na.size) % 4, None] * vecs
+        yield na, total - na, ((dv * np.exp(1j * theta * vals)) @ dv.conj().T).real
 
 
 def beam_splitter_fock(
@@ -306,7 +310,8 @@ def beam_splitter_fock(
     Exactly orthogonal on the kept states, but a block of total photon
     number N >= d keeps only 2d - 1 - N of its N + 1 states. The weight the
     untruncated beam splitter would move into the dropped states is not
-    added to norm_leak, which passes through unchanged.
+    added to norm_leak, which passes through unchanged (a Gaussian circuit
+    converts exactly by from_gaussian).
     """
     i, j = modes
     _check_modes(state, i, j)

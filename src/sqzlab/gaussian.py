@@ -194,10 +194,11 @@ def squeeze(state: GaussianState, mode: int, r: float, phi: float = 0.0) -> Gaus
     variance exp(-2r)/2 then sits among entries of size exp(2r), and its median relative
     error over phi is 2e-7 at r = 6, 5e-4 at r = 8 and O(1) at r = 10.
     """
-    block = np.diag([np.exp(-r), np.exp(r)])
-    if phi != 0.0:
-        rot = _rotation(phi)
-        block = rot @ block @ rot.T
+    with np.errstate(over="ignore", invalid="ignore"):  # _act reports a non-finite block
+        block = np.diag([np.exp(-r), np.exp(r)])
+        if phi != 0.0:
+            rot = _rotation(phi)
+            block = rot @ block @ rot.T
     try:
         return _act(state, (mode,), block)
     except ValueError as err:

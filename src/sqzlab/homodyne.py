@@ -178,7 +178,10 @@ def sample_quadratures(
             pdf = pdf_at(theta)
             cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))
             cdf /= cdf[-1]
-            blocks.append(np.interp(rng.uniform(size=n_per_theta), cdf, grid))
+            u = rng.uniform(size=n_per_theta)
+            order, xs = np.argsort(u), np.empty(n_per_theta)
+            xs[order] = np.interp(u[order], cdf, grid)  # sorted points interpolate faster; xs keeps the draw order
+            blocks.append(xs)
     else:
         raise TypeError("state must be a GaussianState or FockState")
     return QuadratureDataset(thetas=all_thetas, xs=np.concatenate(blocks))

@@ -18,6 +18,7 @@ from .gaussian import (
     GaussianState,
     _phase_space_points,
     beam_splitter,
+    displace,
     loss_channel,
     quadrature_variance,
     squeeze,
@@ -50,7 +51,7 @@ def _gaussian_overlap_fidelity(a: GaussianState, b: GaussianState) -> float:
     sigma = a.cov + b.cov
     delta = b.mean - a.mean
     quad = delta @ np.linalg.solve(sigma, delta)
-    f = np.exp(-0.5 * quad) / np.sqrt(np.linalg.det(sigma))
+    f = np.exp(-0.5 * (quad + np.linalg.slogdet(sigma)[1]))  # det(sigma) overflows above r ~ 179 at g = 0.5
     return float(min(max(f, 0.0), 1.0))
 
 
@@ -245,14 +246,7 @@ def make_heralded_photon(r: float, cutoff: int) -> tuple[FockState, float]:
     the click probability; for small r the state approaches |1> and the
     probability tanh(r)^2.
     """
-    pair = fock.tmsv_fock(r, cutoff)
-    return fock.herald_click(pair, mode=1)
-
-
-def _kitten_resource(r: float, cutoff: int) -> FockState:
-    # Squeezed vacuum elongated along X, so the kitten lumps sit at
-    # +/- sqrt(r) on the X axis (matching the real-amplitude references).
-    return fock.squeezed_vacuum_fock(-r, cutoff)
+    return fock.herald_click(fock.tmsv_fock(r, cutoff), mode=1)
 
 
 def make_kitten(
@@ -260,19 +254,18 @@ def make_kitten(
 ) -> tuple[FockState, float, float]:
     """Photon-subtracted squeezed vacuum ("odd kitten") preparation.
 
-    The squeezed vacuum passes a weak beam-splitter tap; a click on the
-    tapped mode heralds a photon subtraction. Returns (state, click
-    probability, fidelity against the ideal odd kitten with amplitude
-    sqrt(r)).
+    Vacuum squeezed by -r (so the kitten lumps sit at +/- sqrt(r) on the X axis) passes a weak
+    tap, built in the Gaussian engine and converted once by fock.from_gaussian; a click on the
+    tapped mode heralds a photon subtraction. Returns (state, click probability, fidelity
+    against the ideal odd kitten with amplitude sqrt(r)).
     """
     rho = float(subtraction_reflectivity)
     if not 0.0 < rho < 0.5:
         raise ValueError("subtraction reflectivity must be small and positive")
     if r <= 0:
         raise ValueError("needs a squeezed resource (r > 0)")
-    joint = fock.tensor(_kitten_resource(r, cutoff), fock.coherent_fock(0.0, cutoff))
-    joint = fock.beam_splitter_fock(joint, (0, 1), np.sqrt(1.0 - rho * rho), rho)
-    signal, p_click = fock.herald_click(joint, mode=1)
+    tapped = beam_splitter(squeeze(vacuum(2), 0, -r), (0, 1), np.sqrt(1.0 - rho * rho), rho)
+    signal, p_click = fock.herald_click(fock.from_gaussian(tapped, cutoff), mode=1)
     fid = fock.fidelity(signal, ideal_odd_kitten(np.sqrt(r), cutoff))
     return signal, p_click, fid
 
@@ -291,7 +284,7 @@ def engineer_kitten_superposition(
     from the squeezed vacuum" from "photon supplied by the ancilla". The
     conditional signal state is a coherent superposition of the even
     kitten (no subtraction) and odd kitten (subtraction), with weights and
-    relative phase set by the ancilla amplitude.
+    relative phase set by the ancilla amplitude; the modes convert as in make_kitten.
     """
     if r <= 0:
         raise ValueError("needs a squeezed resource (r > 0)")
@@ -300,10 +293,8 @@ def engineer_kitten_superposition(
             raise ValueError(f"{name} must be small and positive")
     if abs(ancilla_alpha) ** 2 > 0.5:
         warnings.warn("ancilla is not weak; higher photon terms will intrude", stacklevel=2)
-    signal = _kitten_resource(r, cutoff)
-    joint = fock.tensor(signal, fock.coherent_fock(0.0, cutoff))
-    joint = fock.tensor(joint, fock.coherent_fock(ancilla_alpha, cutoff))
-    joint = fock.beam_splitter_fock(joint, (0, 1), np.sqrt(1.0 - rho_tap**2), rho_tap)
-    joint = fock.beam_splitter_fock(joint, (1, 2), np.sqrt(1.0 - rho_mix**2), rho_mix)
-    conditioned, _ = fock.herald_click(joint, mode=1)
+    modes = displace(squeeze(vacuum(3), 0, -r), 2, ancilla_alpha)
+    modes = beam_splitter(modes, (0, 1), np.sqrt(1.0 - rho_tap**2), rho_tap)
+    modes = beam_splitter(modes, (1, 2), np.sqrt(1.0 - rho_mix**2), rho_mix)
+    conditioned, _ = fock.herald_click(fock.from_gaussian(modes, cutoff), mode=1)
     return fock.reduce_to_dominant_branch(conditioned, mode=1)

@@ -8,7 +8,8 @@ skips when the installed numpy differs from the recorded version (no
 output depends on scipy, which sqzlab does not import).
 
 A change that moves an output on purpose states why and by how much, then
-rewrites the file with ``PYTHONPATH=src python tests/test_catalog_golden.py``.
+rewrites the file with ``PYTHONPATH=src python tests/test_catalog_golden.py``,
+which prints each moved key with its old and new digest.
 """
 
 import json
@@ -66,6 +67,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         sums = catalog_checksums(Path(tmp))
+    old = json.loads(GOLDEN.read_text())["sha256"] if GOLDEN.exists() else {}
+    for key in sorted(old.keys() | sums.keys()):
+        if old.get(key) != sums.get(key):
+            print(f"moved {key}: {old.get(key)} -> {sums.get(key)}", file=sys.stderr)
     payload = {"versions": {"numpy": np.__version__}, "sha256": sums}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

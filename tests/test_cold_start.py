@@ -128,12 +128,12 @@ def test_devices_loads_only_gaussian():
     assert _layers_loaded_by("import sqzlab.devices") == ["sqzlab.devices", "sqzlab.gaussian"]
 
 
-# the names the package imported eagerly before its exports were lazy
+# the names the package imported eagerly before its exports were lazy, and from_gaussian
 EXPORTS = {
     "gaussian": "GaussianState beam_splitter displace infer_effective_loss loss_channel "
     "quadrature_variance rotate squeeze squeezing_db two_mode_squeeze vacuum wigner_gaussian",
     "fock": "FockState apply_annihilation beam_splitter_fock coherent_fock displace_fock "
-    "fidelity herald_click squeezed_vacuum_fock suggest_cutoff tmsv_fock wigner_fock",
+    "fidelity from_gaussian herald_click squeezed_vacuum_fock suggest_cutoff tmsv_fock wigner_fock",
     "homodyne": "PhotocurrentTrace PowerSpectrum QuadratureDataset photocurrent_with_drift "
     "quadrature_pdf reconstruct_wigner sample_quadratures sideband_quadratures spectrum wigner_grid",
     "devices": "CavityConfig CrystalConfig NoiseSpectrum OpaConfig PumpConfig cavity_figures "

@@ -1,4 +1,5 @@
-"""Fock kernels against their dense references, bad gate parameters, and the
+"""Fock kernels against their dense references, bad gate parameters, the
+Gaussian-state conversion against mpmath and the Gaussian engine, and the
 cutoff-64 budget."""
 
 import itertools
@@ -24,6 +25,7 @@ from sqzlab.fock import (
     displace_fock,
     displacement_matrix,
     from_amplitudes,
+    from_gaussian,
     quadrature_mean_and_cov,
     reduced_density_matrix,
     squeezed_vacuum_fock,
@@ -31,7 +33,17 @@ from sqzlab.fock import (
     tmsv_fock,
     wigner_fock,
 )
-from sqzlab.gaussian import GaussianState, displace, squeeze, two_mode_squeeze, vacuum, wigner_gaussian
+from sqzlab.gaussian import (
+    GaussianState,
+    beam_splitter,
+    displace,
+    loss_channel,
+    rotate,
+    squeeze,
+    two_mode_squeeze,
+    vacuum,
+    wigner_gaussian,
+)
 from sqzlab.homodyne import wigner_grid
 from sqzlab.protocols import engineer_kitten_superposition, make_kitten
 
@@ -122,25 +134,6 @@ def test_beam_splitter_blocks_orthogonal_and_match_expm(theta):
         generator = np.diag(couple, 1) - np.diag(couple, -1)
         assert np.max(np.abs(block.T @ block - np.eye(na.size))) <= 1e-13
         assert np.max(np.abs(block - expm(generator))) <= 1e-12
-
-
-def test_new_angle_at_a_known_cutoff_makes_no_eigen_solve(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(matrix):
-        calls.append(matrix.shape)
-        return eigh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    fock._beam_splitter_eig.cache_clear()
-    fock._beam_splitter_blocks.cache_clear()
-    pair = tensor(coherent_fock(0.3, 17), coherent_fock(-0.2j, 17))
-    beam_splitter_fock(pair, (0, 1), math.cos(0.123), math.sin(0.123))
-    assert len(calls) == 2 * 17 - 1
-    calls.clear()
-    beam_splitter_fock(pair, (0, 1), math.cos(-0.456), math.sin(-0.456))
-    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -340,13 +333,162 @@ def test_moments_match_gaussian_engine_within_counted_leak(r, alpha, cutoff):
         assert dev <= cutoff * sum(math.sqrt(max(w, 1e-15)) for w in lost)
 
 
+# -- Gaussian states in the number basis --------------------------------------------
+
+
+def _mp_unit(column):
+    """A list of mpmath amplitudes as a complex unit vector."""
+    norm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in column))
+    return np.array([complex(c / norm) for c in column])
+
+
+def mp_squeezed(r, cutoff):
+    """(-tanh r)^m sqrt((2m)!) / (2^m m!) on |2m>, normalized."""
+    with mp.workdps(40):
+        even = [(-mp.tanh(r)) ** m * mp.sqrt(mp.factorial(2 * m)) / (2**m * mp.factorial(m)) for m in range(cutoff)]
+        return _mp_unit([even[n // 2] if n % 2 == 0 else mp.mpf(0) for n in range(cutoff)])
+
+
+def mp_tmsv(r, cutoff):
+    """tanh(r)^n on |n n>, normalized, as a (cutoff, cutoff) array."""
+    with mp.workdps(40):
+        flat = [mp.tanh(r) ** a if a == b else mp.mpf(0) for a in range(cutoff) for b in range(cutoff)]
+        return _mp_unit(flat).reshape(cutoff, cutoff)
+
+
+def mp_displaced_squeezed(alpha, r, cutoff):
+    """<n|D(alpha) S(r)|0> (Yuen, Phys. Rev. A 13, 2226 (1976)), with physicists' Hermite polynomials."""
+    with mp.workdps(40):
+        a, t = mp.mpc(alpha.real, alpha.imag), mp.tanh(r)
+        arg = (a * mp.cosh(r) + mp.conj(a) * mp.sinh(r)) / mp.sqrt(mp.mpc(mp.sinh(2 * r)))
+        pre = mp.exp(-abs(a) ** 2 / 2 - mp.conj(a) ** 2 * t / 2)
+        root = mp.sqrt(mp.mpc(t / 2))
+        return _mp_unit([pre * root**n / mp.sqrt(mp.factorial(n)) * mp.hermite(n, arg) for n in range(cutoff)])
+
+
+def mp_coherent(alpha, cutoff):
+    with mp.workdps(40):
+        a = mp.mpc(alpha.real, alpha.imag)
+        return _mp_unit([a**n / mp.sqrt(mp.factorial(n)) for n in range(cutoff)])
+
+
+GAUSSIAN_REFERENCES = {
+    "squeezed": lambda: (squeezed_vacuum_fock(0.9, 64), mp_squeezed(0.9, 64)),
+    "squeezed-negative": lambda: (squeezed_vacuum_fock(-0.4, 40), mp_squeezed(-0.4, 40)),
+    "tmsv": lambda: (tmsv_fock(0.6, 48), mp_tmsv(0.6, 48)),
+    "coherent": lambda: (from_gaussian(displace(vacuum(1), 0, -1.1 + 0.7j), 40), mp_coherent(-1.1 + 0.7j, 40)),
+    "displaced-squeezed": lambda: (
+        from_gaussian(displace(squeeze(vacuum(1), 0, 0.5), 0, 0.8 + 0.4j), 48),
+        mp_displaced_squeezed(0.8 + 0.4j, 0.5, 48),
+    ),
+    "displaced-squeezed-negative": lambda: (
+        from_gaussian(displace(squeeze(vacuum(1), 0, -0.3), 0, -1.2 + 0.3j), 40),
+        mp_displaced_squeezed(-1.2 + 0.3j, -0.3, 40),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GAUSSIAN_REFERENCES)
+def test_gaussian_amplitudes_match_mpmath(name):
+    state, exact = GAUSSIAN_REFERENCES[name]()
+    assert state.norm_leak < 1e-6
+    assert np.max(np.abs(state.amps - exact)) <= 4e-16
+
+
+def test_gaussian_amplitudes_below_a_cutoff_do_not_depend_on_it():
+    three = displace(beam_splitter(squeeze(vacuum(3), 0, -0.4, 0.3), (0, 2), 0.6, 0.8), 1, 0.5 - 0.2j)
+    for state in (squeeze(vacuum(1), 0, 0.7), displace(two_mode_squeeze(vacuum(2), (0, 1), 0.5), 1, 0.3j), three):
+        full = fock._gaussian_amplitudes(state, 64)
+        for d in (1, 7, 20, 41):
+            assert np.array_equal(fock._gaussian_amplitudes(state, d), full[(slice(0, d),) * state.n_modes])
+
+
+def _strong(r):
+    """One squeezed mode, alone, tapped, and spread over three modes with an ancilla shift."""
+    tapped = beam_splitter(squeeze(vacuum(2), 0, -r), (0, 1), math.sqrt(1.0 - 0.3**2), 0.3)
+    three = beam_splitter(beam_splitter(displace(squeeze(vacuum(3), 0, r), 2, 0.3), (0, 1), 0.8, 0.6), (1, 2), 0.6, 0.8)
+    return squeeze(vacuum(1), 0, r), tapped, three
+
+
+@pytest.mark.parametrize("r", [20.0, 40.0])
+def test_strong_squeezing_converts_and_counts_its_leak(r):
+    for state in _strong(r):
+        with pytest.warns(TruncationWarning, match="from_gaussian: cutoff 20 loses weight 1$"):
+            out = from_gaussian(state, 20)
+        assert np.all(np.isfinite(out.amps)) and out.norm_leak > 0.999
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        loss_channel(squeeze(vacuum(1), 0, 0.5), 0, 0.9),
+        loss_channel(two_mode_squeeze(vacuum(2), (0, 1), 0.3), 1, 0.5),
+        GaussianState(mean=[0.0, 0.0], cov=two_mode_squeeze(vacuum(2), (0, 1), 0.3).cov[:2, :2]),
+    ],
+    ids=["lossy-squeezed", "lossy-pair", "thermal-half-of-a-pair"],
+)
+def test_mixed_gaussian_state_is_refused_by_name(state):
+    with pytest.raises(ValueError, match="from_gaussian: the state is mixed"):
+        from_gaussian(state, 10)
+
+
+@st.composite
+def _circuits(draw, r_max):
+    """Up to four squeeze, rotate, displace and beam-splitter gates on one to three modes."""
+    n_modes = draw(st.integers(1, 3))
+    state = vacuum(n_modes)
+    angle = st.floats(-math.pi, math.pi)
+    for _ in range(draw(st.integers(1, 4))):
+        mode = draw(st.integers(0, n_modes - 1))
+        kind = draw(st.sampled_from(["squeeze", "rotate", "displace", "beam_splitter"]))
+        if kind == "squeeze":
+            state = squeeze(state, mode, draw(st.floats(-r_max, r_max)), draw(angle))
+        elif kind == "rotate":
+            state = rotate(state, mode, draw(angle))
+        elif kind == "displace":
+            shift = st.floats(-0.3, 0.3)
+            state = displace(state, mode, complex(draw(shift), draw(shift)))
+        elif n_modes > 1:
+            other, theta = (mode + draw(st.integers(1, n_modes - 1))) % n_modes, draw(angle)
+            state = beam_splitter(state, (mode, other), math.cos(theta), math.sin(theta))
+    return state
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_circuits(r_max=40.0))
+def test_pure_states_at_strong_squeezing_are_not_called_mixed(state):
+    # the conversion may lose every digit out there, and say so, but the state is pure
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        try:
+            from_gaussian(state, 8)
+        except ValueError as err:
+            assert "mixed" not in str(err)
+
+
+# Four gates of |r| <= 0.2 and shifts of |Re|, |Im| <= 0.3 lose at most 3.7e-7
+# at these cutoffs (all aimed at one mode, the worst case), so no draw warns.
+# The bounds on the moments and on W are those of the cross-engine tests above.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_circuits(r_max=0.2))
+def test_gaussian_circuits_match_the_engine_within_the_exact_leak(state):
+    out = from_gaussian(state, 32 if state.n_modes == 3 else 40)
+    mean, cov = quadrature_mean_and_cov(out)
+    dev = max(np.max(np.abs(mean - state.mean)), np.max(np.abs(cov - state.cov)))
+    assert dev <= out.cutoff * math.sqrt(max(out.norm_leak, 1e-15))
+    grid = wigner_grid(4.0, 21)[0]
+    for mode in range(state.n_modes):
+        part = slice(2 * mode, 2 * mode + 2)
+        reduced = GaussianState(mean=state.mean[part], cov=state.cov[part, part])
+        dev = np.max(np.abs(wigner_fock(out, grid, mode) - wigner_gaussian(reduced, grid)))
+        assert dev <= _leak_bound(out.norm_leak)
+
+
 # -- cutoff 64, the documented limit ----------------------------------------------
 
 
 def _cost(run):
-    """Wall seconds and tracemalloc peak bytes of run() with cold kernel caches."""
-    fock._beam_splitter_eig.cache_clear()
-    fock._beam_splitter_blocks.cache_clear()
+    """Wall seconds and tracemalloc peak bytes of run()."""
     tracemalloc.start()
     try:
         start = time.perf_counter()

@@ -83,8 +83,10 @@ class TestSampler:
 
     @pytest.mark.parametrize("entangled", [False, True])
     def test_fock_sampler_is_inverse_cdf_of_pdf(self, entangled):
-        # the sampler's shared Hermite basis gives bit-identical samples
-        # to inverse-CDF draws from quadrature_pdf at each phase
+        # the sampler's shared Hermite basis, and its interpolation of the
+        # sorted uniforms scattered back to draw order, give bit-identical
+        # samples to inverse-CDF draws of the uniforms as drawn from
+        # quadrature_pdf at each phase
         if entangled:
             state, mode = fock.tmsv_fock(0.5, 10), 1
         else:

@@ -147,7 +147,7 @@ def test_command_line_cosh_overflow_is_one_line_without_numpy_warnings(r, tmp_pa
 def test_command_line_clipped_state_is_one_line_without_truncation_warnings(tmp_path):
     proc = _sqz_run("kitten", "r=40", tmp_path / "out")
     assert proc.returncode == 3
-    assert proc.stderr == "error: squeezed_vacuum_fock: cutoff 20 loses weight 1; no cutoff up to 64 holds it\n"
+    assert proc.stderr == "error: from_gaussian: cutoff 20 loses weight 1\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -156,6 +156,16 @@ def test_command_line_clipped_state_names_the_cutoff_that_holds_it(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr == "error: tmsv_fock: cutoff 2 loses weight 6.23e-06; cutoff 3 holds it\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_teleport_at_half_gain_runs_to_the_e2r_reach(tmp_path):
+    # det(sigma) of the fidelity overflowed above r ~ 179 at gain 0.5
+    assert main(["run", "teleport-sweep", "--param", "gain=0.5", "--param", "r_max=354", "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "teleport_sweep.csv").read_text().splitlines()[1:]]
+    assert float(rows[0][0]) == 0.0 and float(rows[-1][0]) == 354.0
+    for r, fidelity, _ in rows:
+        added = 0.25 * (0.25 * math.exp(2.0 * float(r)) + 2.25 * math.exp(-2.0 * float(r)))
+        assert float(fidelity) == pytest.approx(1.0 / (0.625 + added), rel=1e-12, abs=0.0)
 
 
 # the one stderr line of each run, which names r
