@@ -12,14 +12,13 @@ every scenario in this package fits comfortably inside that box.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import GaussianState, _check_beam_splitter, _check_modes, _phase_space_points, _readonly
-from .gaussian import squeeze, symplectic_form, two_mode_squeeze, vacuum
+from .gaussian import displace, squeeze, symplectic_form, two_mode_squeeze, vacuum
 
 MAX_MODES = 3
 MAX_CUTOFF = 64
@@ -53,9 +52,9 @@ class FockState:
         so readers need not divide by the norm); amps[n1, ..., nN]
         multiplies |n1 ... nN>.
     norm_leak : float
-        Weight lost to truncation: by the analytic family the state was
-        built from (0 for explicit amplitudes), then by each operation that
-        counts its loss, combined by _carry.
+        Weight lost to truncation: by the cutoff the state was built at
+        (0 for explicit amplitudes), then by each operation that counts its
+        loss, combined by _carry.
     """
 
     amps: np.ndarray
@@ -128,27 +127,17 @@ def _check_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff must be between 1 and {MAX_CUTOFF}, got {cutoff}")
 
 
-def _check_squeezing(r: float) -> None:
-    if not math.isfinite(r):
-        raise ValueError(f"squeezing r must be finite, got {r}")
-    try:
-        math.cosh(r)
-    except OverflowError:
-        raise ValueError(f"squeezing |r| = {abs(r)} is out of range: cosh(r) overflows a float64") from None
-
-
-def _finalize_family(raw: np.ndarray, kind: str | None = None, value=None) -> FockState:
-    """Normalize amplitudes built below a cutoff and record the lost weight. Above LEAK_TOLERANCE it
-    warns; for a named family (kind None is from_gaussian's) it names the cutoff suggest_cutoff finds,
-    or says that none up to MAX_CUTOFF holds it."""
-    label = _FAMILIES[kind].__name__ if kind else "from_gaussian"
+def _finalize(raw: np.ndarray, label: str, source) -> FockState:
+    """Normalize amplitudes built below a cutoff and record the lost weight. From LEAK_TOLERANCE on it
+    warns, naming the cutoff that suggest_cutoff finds for the Gaussian state source() returns, or
+    saying that none up to MAX_CUTOFF holds it."""
     amps, norm_sq = _unit(raw, f"{label}: the truncated state")
     leak = max(0.0, 1.0 - norm_sq)
     if leak >= LEAK_TOLERANCE:
-        hint = f"; no cutoff up to {MAX_CUTOFF} holds it" if kind else ""
-        if kind and raw.shape[0] < MAX_CUTOFF:  # at MAX_CUTOFF, suggest_cutoff would build this state again
+        hint = f"; no cutoff up to {MAX_CUTOFF} holds it"
+        if raw.shape[0] < MAX_CUTOFF:  # at MAX_CUTOFF, suggest_cutoff would build this state again
             try:
-                hint = f"; cutoff {suggest_cutoff(kind, value, LEAK_TOLERANCE)} holds it"
+                hint = f"; cutoff {suggest_cutoff(source(), LEAK_TOLERANCE)} holds it"
             except ValueError:
                 pass
         warnings.warn(f"{label}: cutoff {raw.shape[0]} loses weight {leak:.3g}{hint}", TruncationWarning, stacklevel=3)
@@ -203,7 +192,7 @@ def from_gaussian(state: GaussianState, cutoff: int) -> FockState:
     """A pure Gaussian state of up to MAX_MODES modes in the number basis, exact below the cutoff and
     independent of it; norm_leak is the exact lost weight (a TruncationWarning from LEAK_TOLERANCE on).
     A mixed state is refused by name."""
-    return _finalize_family(_gaussian_amplitudes(state, cutoff))
+    return _finalize(_gaussian_amplitudes(state, cutoff), "from_gaussian", lambda: state)
 
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockState:
@@ -213,42 +202,35 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockState:
     _check_cutoff(cutoff)
     alpha = complex(alpha)
     row = next(_laguerre_rows(np.array([abs(alpha) ** 2]), cutoff))
-    return _finalize_family(row[:, 0] * _phases(alpha, cutoff), "coherent", alpha)
+    return _finalize(row[:, 0] * _phases(alpha, cutoff), "coherent_fock", lambda: displace(vacuum(1), 0, alpha))
 
 
 def squeezed_vacuum_fock(r: float, cutoff: int) -> FockState:
     """Squeezed vacuum squeeze(vacuum(1), 0, r): amplitude (-tanh r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r)) on |2m>."""
-    _check_squeezing(r)
-    return _finalize_family(_gaussian_amplitudes(squeeze(vacuum(1), 0, r), cutoff), "squeezed", r)
+    state = squeeze(vacuum(1), 0, r)
+    return _finalize(_gaussian_amplitudes(state, cutoff), "squeezed_vacuum_fock", lambda: state)
 
 
 def tmsv_fock(r: float, cutoff: int) -> FockState:
     """Two-mode squeezed vacuum two_mode_squeeze(vacuum(2), (0, 1), r): amplitudes tanh^n(r)/cosh(r) on |nn>."""
-    _check_squeezing(r)
-    return _finalize_family(_gaussian_amplitudes(two_mode_squeeze(vacuum(2), (0, 1), r), cutoff), "tmsv", r)
+    state = two_mode_squeeze(vacuum(2), (0, 1), r)
+    return _finalize(_gaussian_amplitudes(state, cutoff), "tmsv_fock", lambda: state)
 
 
-_FAMILIES = {"coherent": coherent_fock, "squeezed": squeezed_vacuum_fock, "tmsv": tmsv_fock}
+def suggest_cutoff(state: GaussianState, tail_mass: float = 1e-8) -> int:
+    """Smallest per-mode cutoff at which from_gaussian(state, cutoff) loses at most tail_mass.
 
-
-def suggest_cutoff(kind: str, value, tail_mass: float = 1e-8) -> int:
-    """Smallest cutoff at which the family loses at most tail_mass.
-
-    kind is one of 'coherent' (value = alpha), 'squeezed' or 'tmsv'
-    (value = r); for 'tmsv' the suggestion is per mode. Reads the photon
-    numbers of the family built at MAX_CUTOFF, so it agrees with the
-    norm_leak of the builders. Raises ValueError if even MAX_CUTOFF loses
-    more than tail_mass.
+    Cutoff d keeps the amplitudes whose largest photon number is below d, and those do not depend
+    on the cutoff, so one conversion at MAX_CUTOFF, binned by that number, gives the kept weight at
+    every d. Raises ValueError for a mixed state (by name), and when even MAX_CUTOFF loses more than
+    tail_mass.
     """
-    if kind not in _FAMILIES:
-        raise ValueError(f"unknown family {kind!r}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        state = _FAMILIES[kind](value, MAX_CUTOFF)
-    kept = np.cumsum(branch_probabilities(state, 0) * (1.0 - state.norm_leak))
+    weight = np.abs(_gaussian_amplitudes(state, MAX_CUTOFF)) ** 2
+    top = np.indices(weight.shape).max(axis=0)
+    kept = np.cumsum(np.bincount(top.ravel(), weights=weight.ravel(), minlength=MAX_CUTOFF))
     holds = np.flatnonzero(1.0 - kept <= tail_mass)
     if holds.size == 0:
-        raise ValueError(f"{kind} {value}: no cutoff up to {MAX_CUTOFF} loses at most {tail_mass:.3g}")
+        raise ValueError(f"suggest_cutoff: no cutoff up to {MAX_CUTOFF} loses at most {tail_mass:.3g}")
     return int(holds[0]) + 1
 
 

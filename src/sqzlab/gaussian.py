@@ -169,9 +169,10 @@ def _pair_block(diag, off_ij, off_ji) -> np.ndarray:
     return s
 
 
-def _act(state: GaussianState, modes, block, noise=0.0, shift=0.0) -> GaussianState:
+def _act(state: GaussianState, modes, block, noise=0.0, shift=0.0, squeezer=None) -> GaussianState:
     """Apply a gate to ``modes`` in O(N): on their quadratures only,
     mean -> block mean + shift and cov -> block cov block^T + noise * I.
+    A non-finite result is refused; a squeezer's (name, r) leads the message.
     """
     _check_modes(state, *modes)
     idx = np.array([q for mode in modes for q in (2 * mode, 2 * mode + 1)])
@@ -182,7 +183,8 @@ def _act(state: GaussianState, modes, block, noise=0.0, shift=0.0) -> GaussianSt
         cov[:, idx] = cov[:, idx] @ block.T
         cov[idx, idx] += noise
     if not (np.isfinite(mean[idx]).all() and np.isfinite(cov[idx]).all()):
-        raise ValueError("gate gave a non-finite state (non-finite parameter or overflow)")
+        named = "{} r = {}: ".format(*squeezer) if squeezer else ""
+        raise ValueError(f"{named}gate gave a non-finite state (non-finite parameter or overflow)")
     return GaussianState._trusted(mean, cov)
 
 
@@ -199,19 +201,18 @@ def squeeze(state: GaussianState, mode: int, r: float, phi: float = 0.0) -> Gaus
         if phi != 0.0:
             rot = _rotation(phi)
             block = rot @ block @ rot.T
-    try:
-        return _act(state, (mode,), block)
-    except ValueError as err:
-        raise ValueError(f"squeeze r = {r}: {err}") from None
+    return _act(state, (mode,), block, squeezer=("squeeze", r))
 
 
 def two_mode_squeeze(state: GaussianState, modes: tuple[int, int], r: float) -> GaussianState:
     """Apply a two-mode squeezer to modes (i, j): it correlates positions and
     anticorrelates momenta, (X_i +/- X_j) -> exp(+/- r) and (P_i +/- P_j) -> exp(-/+ r).
     """
-    ch, sh = np.cosh(r), np.sinh(r)
-    off = np.diag([sh, -sh])
-    return _act(state, modes, _pair_block(ch * np.eye(2), off, off))
+    with np.errstate(over="ignore", invalid="ignore"):  # _act reports a non-finite block
+        ch, sh = np.cosh(r), np.sinh(r)
+        off = np.diag([sh, -sh])
+        block = _pair_block(ch * np.eye(2), off, off)
+    return _act(state, modes, block, squeezer=("two_mode_squeeze", r))
 
 
 def beam_splitter(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from sqzlab.fock import (
     wigner_fock,
 )
 from sqzlab.gaussian import (
+    beam_splitter,
     displace,
     loss_channel,
     squeeze,
@@ -141,37 +143,54 @@ class TestTmsv:
         assert t.amps[1, 1] / t.amps[0, 0] == pytest.approx(r, rel=1e-6)
 
 
-FAMILIES = {"coherent": coherent_fock, "squeezed": squeezed_vacuum_fock, "tmsv": tmsv_fock}
+def kitten_superposition_modes():
+    """The three modes engineer_kitten_superposition converts, at r = 0.2, ancilla 0.3 + 0.1i and
+    both reflectivities 0.1."""
+    tau = math.sqrt(1.0 - 0.1**2)
+    modes = displace(squeeze(vacuum(3), 0, -0.2), 2, 0.3 + 0.1j)
+    return beam_splitter(beam_splitter(modes, (0, 1), tau, 0.1), (1, 2), tau, 0.1)
 
 
 class TestSuggestCutoff:
     def test_tail_mass_respected(self):
-        for kind, value in (("coherent", 1.2), ("squeezed", 0.8), ("tmsv", 0.8)):
-            d = suggest_cutoff(kind, value, tail_mass=1e-8)
-            state = FAMILIES[kind](value, d)
-            assert state.norm_leak < 1e-6
+        for state, build in (
+            (displace(vacuum(1), 0, 1.2), lambda d: coherent_fock(1.2, d)),
+            (squeeze(vacuum(1), 0, 0.8), lambda d: squeezed_vacuum_fock(0.8, d)),
+            (two_mode_squeeze(vacuum(2), (0, 1), 0.8), lambda d: tmsv_fock(0.8, d)),
+        ):
+            d = suggest_cutoff(state, tail_mass=1e-8)
+            assert build(d).norm_leak < 1e-6
 
     @pytest.mark.parametrize(
-        "kind, value",
-        [pytest.param("squeezed", r, id=str(r)) for r in (0.3, 0.6, 0.9)]
+        "state",
+        [pytest.param(squeeze(vacuum(1), 0, r), id=str(r)) for r in (0.3, 0.6, 0.9)]
         + [
-            pytest.param(kind, value, id=f"{kind}-{value}")
-            for kind, value in (("coherent", 1.5), ("coherent", 4.0), ("tmsv", 0.9))
+            pytest.param(displace(vacuum(1), 0, 1.5), id="coherent-1.5"),
+            pytest.param(displace(vacuum(1), 0, 4.0), id="coherent-4.0"),
+            pytest.param(two_mode_squeeze(vacuum(2), (0, 1), 0.9), id="tmsv-0.9"),
+            pytest.param(kitten_superposition_modes(), id="kitten-superposition"),
         ],
     )
-    def test_squeezed_is_smallest(self, kind, value):
-        d = suggest_cutoff(kind, value, tail_mass=1e-8)
-        assert FAMILIES[kind](value, d).norm_leak <= 1e-8
-        assert FAMILIES[kind](value, d - 1).norm_leak > 1e-8
+    def test_squeezed_is_smallest(self, state):
+        d = suggest_cutoff(state, tail_mass=1e-8)
+        assert fock.from_gaussian(state, d).norm_leak <= 1e-8
+        assert fock.from_gaussian(state, d - 1).norm_leak > 1e-8
 
-    @pytest.mark.parametrize("kind, value", [("squeezed", 2.5), ("coherent", 9.0), ("tmsv", 2.5)])
-    def test_past_the_limit_raises(self, kind, value):
+    @pytest.mark.parametrize(
+        "state",
+        [
+            pytest.param(squeeze(vacuum(1), 0, 2.5), id="squeezed-2.5"),
+            pytest.param(displace(vacuum(1), 0, 9.0), id="coherent-9.0"),
+            pytest.param(two_mode_squeeze(vacuum(2), (0, 1), 2.5), id="tmsv-2.5"),
+        ],
+    )
+    def test_past_the_limit_raises(self, state):
         with pytest.raises(ValueError, match=f"no cutoff up to {fock.MAX_CUTOFF}"):
-            suggest_cutoff(kind, value, tail_mass=1e-8)
+            suggest_cutoff(state, tail_mass=1e-8)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            suggest_cutoff("thermal", 1.0)
+    def test_mixed_state_is_refused(self):
+        with pytest.raises(ValueError, match="from_gaussian: the state is mixed"):
+            suggest_cutoff(loss_channel(two_mode_squeeze(vacuum(2), (0, 1), 0.5), 1, 0.5))
 
 
 class TestAnnihilation:
@@ -487,6 +506,12 @@ class TestLossyPhotonStatistics:
         assert probs[2] > probs[1] and probs[2] > probs[3]
 
 
+def gate_overflow(build, r):
+    """The refusal of the gate that builds a squeezed family at r, which names the gate and r."""
+    gate = "squeeze" if build is squeezed_vacuum_fock else "two_mode_squeeze"
+    return f"{gate} r = {r}: gate gave a non-finite state (non-finite parameter or overflow)"
+
+
 class TestValidationAndSerialization:
     def test_norm_validation(self):
         with pytest.raises(ValueError):
@@ -526,7 +551,7 @@ class TestValidationAndSerialization:
     def test_family_squeezing_beyond_cosh_overflow(self, build, r):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow warning on the way
-            with pytest.raises(ValueError, match=rf"\|r\| = {abs(r)} is out of range"):
+            with pytest.raises(ValueError, match=f"^{re.escape(gate_overflow(build, r))}$"):
                 build(r, 12)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
@@ -534,7 +559,7 @@ class TestValidationAndSerialization:
     def test_family_non_finite_squeezing_names_r(self, build, r):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy invalid-value warning on the way
-            with pytest.raises(ValueError, match=f"squeezing r must be finite, got {r}"):
+            with pytest.raises(ValueError, match=f"^{re.escape(gate_overflow(build, r))}$"):
                 build(r, 6)
 
     def test_round_trip(self):

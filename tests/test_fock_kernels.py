@@ -413,7 +413,8 @@ def _strong(r):
 @pytest.mark.parametrize("r", [20.0, 40.0])
 def test_strong_squeezing_converts_and_counts_its_leak(r):
     for state in _strong(r):
-        with pytest.warns(TruncationWarning, match="from_gaussian: cutoff 20 loses weight 1$"):
+        clipped = "from_gaussian: cutoff 20 loses weight 1; no cutoff up to 64 holds it$"
+        with pytest.warns(TruncationWarning, match=clipped):
             out = from_gaussian(state, 20)
         assert np.all(np.isfinite(out.amps)) and out.norm_leak > 0.999
 

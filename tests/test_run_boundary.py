@@ -61,6 +61,7 @@ PHYSICS_CASES = {
     "superposition-cosh-overflow": ("kitten-superposition", {"r": 711.0}, 0),
     "herald-cosh-overflow": ("herald-photon", {"r": 711.0}, 0),
     "herald-negative-cosh-overflow": ("herald-photon", {"r": -1e3}, 0),
+    "herald-overflow-below-cosh": ("herald-photon", {"r": 400.0}, 0),
     "kitten-clipped-by-cutoff": ("kitten", {"r": 40.0}, 0),
     "herald-leak-above-tolerance": ("herald-photon", {"cutoff": 2}, 0),
 }
@@ -136,18 +137,20 @@ def test_command_line_nan_is_one_line_without_traceback(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("r", ["711", "-1e3"])
+# cosh(r) is finite at r = 400, but the covariance's cosh(2r)/2 is not
+@pytest.mark.parametrize("r", ["400", "711", "-1e3"])
 def test_command_line_cosh_overflow_is_one_line_without_numpy_warnings(r, tmp_path):
     proc = _sqz_run("herald-photon", f"r={r}", tmp_path / "out")
     assert proc.returncode == 3
-    assert proc.stderr == f"error: squeezing |r| = {abs(float(r))} is out of range: cosh(r) overflows a float64\n"
+    expected = f"two_mode_squeeze r = {float(r)}: gate gave a non-finite state (non-finite parameter or overflow)"
+    assert proc.stderr == f"error: {expected}\n"
     assert not (tmp_path / "out").exists()
 
 
 def test_command_line_clipped_state_is_one_line_without_truncation_warnings(tmp_path):
     proc = _sqz_run("kitten", "r=40", tmp_path / "out")
     assert proc.returncode == 3
-    assert proc.stderr == "error: from_gaussian: cutoff 20 loses weight 1\n"
+    assert proc.stderr == "error: from_gaussian: cutoff 20 loses weight 1; no cutoff up to 64 holds it\n"
     assert not (tmp_path / "out").exists()
 
 
