@@ -38,7 +38,7 @@ class TruncationWarning(UserWarning):
 
 
 class ZeroStateError(ValueError):
-    """A conditional operation produced the zero vector (probability 0)."""
+    """A state builder or a conditional operation left the zero vector (norm^2 <= 1e-300)."""
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ class FockState:
         so readers need not divide by the norm); amps[n1, ..., nN]
         multiplies |n1 ... nN>.
     norm_leak : float
-        Weight lost to truncation: by the cutoff the state was built at
-        (0 for explicit amplitudes), then by each operation that counts its
-        loss, combined by _carry.
+        Weight lost to truncation by the cutoff the state was built at (0
+        for explicit amplitudes); tensor combines its factors' leaks by
+        _carry, and every other operation passes it through.
     """
 
     amps: np.ndarray
@@ -130,8 +130,9 @@ def _check_cutoff(cutoff: int) -> None:
 def _finalize(raw: np.ndarray, label: str, source) -> FockState:
     """Normalize amplitudes built below a cutoff and record the lost weight. From LEAK_TOLERANCE on it
     warns, naming the cutoff that suggest_cutoff finds for the Gaussian state source() returns, or
-    saying that none up to MAX_CUTOFF holds it."""
-    amps, norm_sq = _unit(raw, f"{label}: the truncated state")
+    saying that none up to MAX_CUTOFF holds it. When the kept weight is the zero state (see _unit),
+    the same words are a ZeroStateError."""
+    norm_sq = float(np.vdot(raw, raw).real)
     leak = max(0.0, 1.0 - norm_sq)
     if leak >= LEAK_TOLERANCE:
         hint = f"; no cutoff up to {MAX_CUTOFF} holds it"
@@ -140,8 +141,11 @@ def _finalize(raw: np.ndarray, label: str, source) -> FockState:
                 hint = f"; cutoff {suggest_cutoff(source(), LEAK_TOLERANCE)} holds it"
             except ValueError:
                 pass
-        warnings.warn(f"{label}: cutoff {raw.shape[0]} loses weight {leak:.3g}{hint}", TruncationWarning, stacklevel=3)
-    return FockState(amps=amps, norm_leak=leak)
+        message = f"{label}: cutoff {raw.shape[0]} loses weight {leak:.3g}{hint}"
+        if norm_sq <= 1e-300:
+            raise ZeroStateError(message)
+        warnings.warn(message, TruncationWarning, stacklevel=3)
+    return FockState(amps=raw / np.sqrt(norm_sq), norm_leak=leak)
 
 
 def _gaussian_amplitudes(state: GaussianState, cutoff: int) -> np.ndarray:
@@ -160,15 +164,18 @@ def _gaussian_amplitudes(state: GaussianState, cutoff: int) -> np.ndarray:
     impurity = np.linalg.eigvalsh(cov + 0.5j * symplectic_form(n))[n - 1]
     if impurity > 1e-10 * max(1.0, float(np.max(np.abs(cov)))):
         raise ValueError(f"from_gaussian: the state is mixed (sigma + i Omega/2 has eigenvalue {impurity:.3g} > 0)")
-    rows = cov[0::2] + 1j * cov[1::2]  # row i: the covariances of x_i + i p_i
-    m = 0.5 * (rows[:, 0::2] + 1j * rows[:, 1::2])
-    q, vecs = np.linalg.eigh(0.5 * (rows.conj()[:, 0::2] + 1j * rows.conj()[:, 1::2] + np.eye(n)))
-    q = np.where(q > 1e-12 * q[-1], np.maximum(q, 1.0), np.inf)
-    b = m @ (vecs / q) @ vecs.conj().T
-    alpha = (state.mean[0::2] + 1j * state.mean[1::2]) / np.sqrt(2.0)
-    gamma = alpha - b @ alpha.conj()
-    root, psi = np.sqrt(np.arange(cutoff)), np.zeros((cutoff,) * n, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        rows = cov[0::2] + 1j * cov[1::2]  # row i: the covariances of x_i + i p_i
+        m = 0.5 * (rows[:, 0::2] + 1j * rows[:, 1::2])
+        one_plus_n = 0.5 * (rows.conj()[:, 0::2] + 1j * rows.conj()[:, 1::2] + np.eye(n))
+        if not (np.isfinite(m).all() and np.isfinite(one_plus_n).all()):
+            raise ValueError("from_gaussian: sigma is beyond float64's reach")
+        q, vecs = np.linalg.eigh(one_plus_n)
+        q = np.where(q > 1e-12 * q[-1], np.maximum(q, 1.0), np.inf)
+        b = m @ (vecs / q) @ vecs.conj().T
+        alpha = (state.mean[0::2] + 1j * state.mean[1::2]) / np.sqrt(2.0)
+        gamma = alpha - b @ alpha.conj()
+        root, psi = np.sqrt(np.arange(cutoff)), np.zeros((cutoff,) * n, dtype=complex)
         log_vacuum = 0.5 * (alpha.conj() @ b @ alpha.conj() - np.vdot(alpha, alpha))
         psi[(0,) * n] = np.exp(log_vacuum - 0.25 * np.sum(np.log(q[q < np.inf])))
         for i in reversed(range(n)):
@@ -255,20 +262,6 @@ def _apply_single_mode(amps: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarr
     return np.moveaxis(out, 0, axis)
 
 
-def apply_annihilation(state: FockState, mode: int) -> tuple[FockState, float]:
-    """Apply the annihilation operator to one mode.
-
-    Returns the normalized result together with the squared norm of the
-    un-normalized vector a|psi> (the success weight of the subtraction).
-    Raises ZeroStateError if the input has no photons in that mode. The
-    kitten tests build their ideal photon subtraction with it.
-    """
-    _check_modes(state, mode)
-    new = _apply_single_mode(np.asarray(state.amps), annihilation_matrix(state.cutoff), mode)
-    amps, weight = _unit(new, f"apply_annihilation: a|psi> on mode {mode} (no photons)")
-    return FockState(amps=amps, norm_leak=state.norm_leak), weight
-
-
 def _beam_splitter_blocks(cutoff: int, theta: float):
     """Yield exp(theta (a b^dag - a^dag b)) as (n_a, n_b, block), one block per total photon number N,
     which the generator conserves, so truncation keeps it unitary. Each block is a real antisymmetric
@@ -330,34 +323,6 @@ def _phases(alpha: complex, cutoff: int) -> np.ndarray:
     alpha's phases exactly real."""
     unit = alpha / abs(alpha) if alpha else 1.0
     return np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(cutoff - 1, unit))))
-
-
-def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """Exact <m|D(alpha)|n>, m, n < cutoff: column n lacks the weight D(alpha)|n> puts above it."""
-    alpha = complex(alpha)
-    if not np.isfinite(alpha):
-        raise ValueError(f"displacement alpha must be finite, got {alpha}")
-    above, below = _phases(alpha, cutoff), _phases(-alpha.conjugate(), cutoff)  # alpha^k, (-alpha*)^k
-    out = np.empty((cutoff, cutoff), dtype=complex)
-    for n, g in enumerate(_laguerre_rows(np.array([abs(alpha) ** 2]), cutoff)):
-        out[n:, n] = g[:, 0] * above[: cutoff - n]
-        out[n, n:] = g[:, 0] * below[: cutoff - n]
-    return out
-
-
-def displace_fock(state: FockState, mode: int, alpha: complex) -> FockState:
-    """Displace one mode by alpha with the exact truncated displacement, renormalized.
-
-    norm_leak carries lost, the weight moved above the cutoff (see _carry); warns with
-    TruncationWarning when lost >= LEAK_TOLERANCE.
-    """
-    _check_modes(state, mode)
-    shifted = _apply_single_mode(np.asarray(state.amps), displacement_matrix(alpha, state.cutoff), mode)
-    out, kept = _unit(shifted, f"displace_fock: the part below cutoff {state.cutoff}")
-    lost = max(0.0, 1.0 - kept)
-    if lost >= LEAK_TOLERANCE:
-        warnings.warn(f"displace_fock: cutoff {state.cutoff} loses weight {lost:.3g}", TruncationWarning, stacklevel=2)
-    return FockState(amps=out, norm_leak=_carry(state.norm_leak, lost))
 
 
 def _padded(state: FockState, cutoff: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, devices, fock, homodyne, protocols
-from .gaussian import loss_channel, quadrature_variance, squeeze, squeezing_db, vacuum
+from .gaussian import displace, loss_channel, quadrature_variance, squeeze, squeezing_db, vacuum
 from .homodyne import write_table
 
 
@@ -132,8 +132,6 @@ def _tomography_state(p):
     if kind == "squeezed":
         return squeeze(vacuum(1), 0, p["r"])
     if kind == "coherent":
-        from .gaussian import displace
-
         return displace(vacuum(1), 0, p["alpha"])
     if kind == "single-photon":
         amps = np.zeros(12)

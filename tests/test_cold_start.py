@@ -1,8 +1,8 @@
 """Start-up and exit cost. scipy takes about 1.3 s to import, and no code
 in sqzlab needs it (the drift trace and its Welch spectrum are plain
-numpy), so no import and no scenario may load it; nor may the Fock
-displacement and Wigner map, which no scenario calls, load it or mpmath,
-the tests' reference for them. A CLI process freezes its heap at exit, so
+numpy), so no import and no scenario may load it; nor may a Fock
+conversion of a displaced state and the Wigner map, which no scenario
+calls, load it or mpmath, the tests' reference for them. A CLI process freezes its heap at exit, so
 the interpreter's final collections skip it; a process that only imports
 sqzlab does not."""
 
@@ -39,11 +39,12 @@ with tempfile.TemporaryDirectory() as tmp:
         params = {"r_max": 2.0} if name == "teleport-sweep" else {}
         run_scenario(ScenarioConfig(name, params, 0, str(Path(tmp) / name)))
         loaded(name)
-from sqzlab.fock import coherent_fock, displace_fock, displacement_matrix, tmsv_fock, wigner_fock
-displacement_matrix(0.4 - 0.3j, 8)
-wigner_fock(displace_fock(coherent_fock(0.3, 8), 0, 0.2j), [[0.0, 0.0], [0.5, -0.5], [-0.5, 0.5]])
+from sqzlab.fock import from_gaussian, tmsv_fock, wigner_fock
+from sqzlab.gaussian import displace, squeeze, vacuum
+shifted = from_gaussian(displace(squeeze(vacuum(1), 0, 0.3), 0, 0.4 - 0.3j), 8)
+wigner_fock(shifted, [[0.0, 0.0], [0.5, -0.5], [-0.5, 0.5]])
 wigner_fock(tmsv_fock(0.3, 8), [[1.0, 0.0]], mode=1)
-loaded("fock displacement and Wigner map")
+loaded("fock conversion and Wigner map")
 print(json.dumps(seen))
 """
 
@@ -132,8 +133,8 @@ def test_devices_loads_only_gaussian():
 EXPORTS = {
     "gaussian": "GaussianState beam_splitter displace infer_effective_loss loss_channel "
     "quadrature_variance rotate squeeze squeezing_db two_mode_squeeze vacuum wigner_gaussian",
-    "fock": "FockState apply_annihilation beam_splitter_fock coherent_fock displace_fock "
-    "fidelity from_gaussian herald_click squeezed_vacuum_fock suggest_cutoff tmsv_fock wigner_fock",
+    "fock": "FockState beam_splitter_fock coherent_fock fidelity from_gaussian herald_click "
+    "squeezed_vacuum_fock suggest_cutoff tmsv_fock wigner_fock",
     "homodyne": "PhotocurrentTrace PowerSpectrum QuadratureDataset photocurrent_with_drift "
     "quadrature_pdf reconstruct_wigner sample_quadratures sideband_quadratures spectrum wigner_grid",
     "devices": "CavityConfig CrystalConfig NoiseSpectrum OpaConfig PumpConfig cavity_figures "

@@ -13,12 +13,11 @@ from sqzlab.fock import (
     FockState,
     TruncationWarning,
     ZeroStateError,
-    apply_annihilation,
     beam_splitter_fock,
     coherent_fock,
-    displace_fock,
     fidelity,
     from_amplitudes,
+    from_gaussian,
     herald_click,
     project_number,
     quadrature_mean_and_cov,
@@ -193,37 +192,6 @@ class TestSuggestCutoff:
             suggest_cutoff(loss_channel(two_mode_squeeze(vacuum(2), (0, 1), 0.5), 1, 0.5))
 
 
-class TestAnnihilation:
-    def test_single_photon(self):
-        out, weight = apply_annihilation(number_state(1, 6), 0)
-        assert weight == pytest.approx(1.0)
-        assert out.amps[0] == pytest.approx(1.0)
-
-    def test_even_kitten_becomes_odd_kitten(self):
-        alpha = 0.7
-        plus = np.asarray(coherent_fock(alpha, 25).amps)
-        minus = np.asarray(coherent_fock(-alpha, 25).amps)
-        even = from_amplitudes(plus + minus)
-        odd = from_amplitudes(plus - minus)
-        subtracted, _ = apply_annihilation(even, 0)
-        assert fidelity(subtracted, odd) == pytest.approx(1.0, abs=1e-10)
-
-    def test_vacuum_raises(self):
-        with pytest.raises(ZeroStateError):
-            apply_annihilation(number_state(0, 5), 0)
-
-    def test_weight_is_mean_photon_number(self):
-        c = coherent_fock(0.9, 30)
-        _, weight = apply_annihilation(c, 0)
-        assert weight == pytest.approx(0.81, abs=1e-9)
-
-    def test_keeps_the_input_leak(self):
-        with pytest.warns(TruncationWarning):
-            clipped = squeezed_vacuum_fock(0.9, 12)
-        assert clipped.norm_leak > 1e-3
-        assert apply_annihilation(clipped, 0)[0].norm_leak == clipped.norm_leak
-
-
 class TestTensor:
     def test_carries_both_leaks(self):
         with pytest.warns(TruncationWarning):
@@ -278,56 +246,6 @@ class TestBeamSplitterFock:
         st = tensor(number_state(0, 3), number_state(0, 3))
         with pytest.raises(ValueError):
             beam_splitter_fock(st, (0, 1), 0.9, 0.5)
-
-
-class TestDisplaceFock:
-    def test_matches_coherent_constructor(self):
-        alpha = 0.8 + 0.3j
-        d = displace_fock(number_state(0, 30), 0, alpha)
-        assert fidelity(d, coherent_fock(alpha, 30)) == pytest.approx(1.0, abs=1e-8)
-
-    def test_zero_identity(self):
-        st = squeezed_vacuum_fock(0.5, 20)
-        out = displace_fock(st, 0, 0.0)
-        np.testing.assert_allclose(np.asarray(out.amps), np.asarray(st.amps), atol=1e-14)
-
-    def test_inverse(self):
-        st = squeezed_vacuum_fock(0.4, 30)
-        back = displace_fock(displace_fock(st, 0, 0.9), 0, -0.9)
-        assert fidelity(back, st) == pytest.approx(1.0, abs=1e-8)
-
-    def test_column_deficit_is_lost_weight(self):
-        # the truncation of the exact operator: what column n lacks is what
-        # D(alpha)|n> puts at or above the cutoff, read from cutoff 64
-        alpha = 1.3 - 0.4j
-        d = fock.displacement_matrix(alpha, 18)
-        wide = fock.displacement_matrix(alpha, 64)
-        np.testing.assert_array_equal(wide[:18, :18], d)
-        deficit = 1.0 - np.sum(np.abs(d) ** 2, axis=0)
-        np.testing.assert_allclose(deficit, np.sum(np.abs(wide[18:, :18]) ** 2, axis=0), atol=1e-14)
-        assert deficit[-1] > 0.1
-
-    def test_round_trip_within_counted_leak(self):
-        # each renormalized truncation is within trace distance sqrt(lost)
-        st = from_amplitudes(np.eye(10)[1] + 0.5 * np.eye(10)[2])
-        with pytest.warns(TruncationWarning):
-            there = displace_fock(st, 0, 1.1)
-            back = displace_fock(there, 0, -1.1)
-        first = there.norm_leak
-        second = 1.0 - (1.0 - back.norm_leak) / (1.0 - first)
-        assert first > 1e-4 and second > 1e-4
-        assert 1.0 - fidelity(back, st) <= (math.sqrt(first) + math.sqrt(second)) ** 2
-
-    def test_cutoff_overflow_warns(self):
-        with pytest.warns(TruncationWarning):
-            out = displace_fock(number_state(0, 6), 0, 2.5)
-        # the lost weight is the Poisson tail above the cutoff, and is counted
-        kept = sum(math.exp(-6.25) * 6.25**n / math.factorial(n) for n in range(6))
-        assert out.norm_leak == pytest.approx(1.0 - kept, rel=1e-12)
-        # a displacement that loses nothing carries the old leak and does not warn
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert displace_fock(out, 0, 0.0).norm_leak == pytest.approx(out.norm_leak, rel=1e-15)
 
 
 class TestFidelity:
@@ -484,10 +402,9 @@ class TestCrossEngineMoments:
         # loss = beam splitter to a vacuum ancilla, ancilla left untraced;
         # signal-mode moments agree with the Gaussian loss channel
         r = 0.5
-        st = tensor(squeezed_vacuum_fock(r, 24), number_state(0, 24))
         tau = math.sqrt(transmission)
         rho = math.sqrt(1.0 - transmission)
-        mixed = beam_splitter_fock(st, (0, 1), tau, rho)
+        mixed = from_gaussian(beam_splitter(squeeze(vacuum(2), 0, r), (0, 1), tau, rho), 24)
         _, cov_f = quadrature_mean_and_cov(mixed)
         g = loss_channel(squeeze(vacuum(1), 0, r), 0, transmission)
         np.testing.assert_allclose(cov_f[:2, :2], g.cov, atol=1e-6)
@@ -498,8 +415,7 @@ class TestLossyPhotonStatistics:
         # a squeezed vacuum after loss: odd photon numbers appear (a pair
         # can lose one member) but stay below their even neighbours at
         # low n, the hallmark shape of measured squeezed-vacuum statistics
-        st = tensor(squeezed_vacuum_fock(0.8, 32), number_state(0, 32))
-        mixed = beam_splitter_fock(st, (0, 1), math.sqrt(0.7), math.sqrt(0.3))
+        mixed = from_gaussian(beam_splitter(squeeze(vacuum(2), 0, 0.8), (0, 1), math.sqrt(0.7), math.sqrt(0.3)), 32)
         probs = np.real(np.diag(fock.reduced_density_matrix(mixed, 0)))
         assert probs[1] > 1e-4 and probs[3] > 1e-5
         assert probs[0] > probs[1]
@@ -530,6 +446,22 @@ class TestValidationAndSerialization:
         # the one zero-state rule: norm^2 <= 1e-300, here 0 and 1e-320
         with pytest.raises(ZeroStateError, match="from_amplitudes: the input is the zero vector"):
             from_amplitudes(scale * np.eye(4)[2])
+
+    @staticmethod
+    def stacked_squeezers():
+        """Rotated squeezers whose sigma has lost its small directions to rounding."""
+        state = squeeze(squeeze(displace(vacuum(1), 0, -1.9 - 0.4j), 0, 13.7, -0.5), 0, 9.3, -2.7)
+        return from_gaussian(displace(state, 0, 1.7 - 1.2j), 20)
+
+    @pytest.mark.parametrize(
+        "build, where",
+        [(lambda: tmsv_fock(350.0, 12), "tmsv_fock: cutoff 12"), (stacked_squeezers, "from_gaussian: cutoff 20")],
+        ids=["tmsv-350", "stacked-squeezers"],
+    )
+    def test_builder_zero_state_names_the_cutoff(self, build, where):
+        # the truncation warning's own words, raised: the kept weight is the zero state
+        with pytest.raises(ZeroStateError, match=f"^{where} loses weight 1; no cutoff up to 64 holds it$"):
+            build()
 
     @pytest.mark.parametrize("cutoff", [0, -3])
     @pytest.mark.parametrize(

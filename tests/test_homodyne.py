@@ -153,11 +153,11 @@ class TestQuadraturePdf:
         "heralded-photon": lambda: (make_heralded_photon(0.05, 12)[0], 0, 0.0),
         # the real products sum their terms in another order: measured 6e-16
         # and 7e-16 of the peak on the entangled modes, 1.2e-15 on the
-        # coherent state and 1.9e-15 on the displaced squeezed state
+        # coherent state and 1.6e-15 on the displaced squeezed state
         "tmsv-mode-0": lambda: (fock.tmsv_fock(0.5, 20), 0, 1e-15),
         "tmsv-mode-1": lambda: (fock.tmsv_fock(0.7, 24), 1, 1e-15),
         "coherent": lambda: (fock.coherent_fock(0.9 - 0.4j, 30), 0, 4e-15),
-        "displaced-squeezed": lambda: (fock.displace_fock(fock.squeezed_vacuum_fock(0.5, 30), 0, 0.8 + 0.4j), 0, 4e-15),
+        "displaced-squeezed": lambda: (fock.from_gaussian(displace(squeeze(vacuum(1), 0, 0.5), 0, 0.8 + 0.4j), 30), 0, 4e-15),
     }
 
     @pytest.mark.parametrize("name", COMPLEX_PRODUCT_CASES)

@@ -229,7 +229,7 @@ class TestKitten:
     def test_weak_tap_limit_is_pure_subtraction(self):
         state, _, _ = make_kitten(0.2, 20, 0.01)
         resource = fock.squeezed_vacuum_fock(-0.2, 20)
-        subtracted, _ = fock.apply_annihilation(resource, 0)
+        subtracted = from_amplitudes(fock.annihilation_matrix(20) @ resource.amps)
         assert fidelity(state, subtracted) > 0.999
 
     def test_zero_squeezing_raises(self):

@@ -161,6 +161,24 @@ def test_command_line_clipped_state_names_the_cutoff_that_holds_it(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# the one stderr line of herald-photon near two_mode_squeeze's reach (r = 355.58): the
+# conversion keeps none of the state at cutoff 12 from r ~ 350, and sigma overflows it past 355.24
+HERALD_REACH_LINES = {
+    "350": "tmsv_fock: cutoff 12 loses weight 1; no cutoff up to 64 holds it",
+    "355.2": "tmsv_fock: cutoff 12 loses weight 1; no cutoff up to 64 holds it",
+    "355.4": "from_gaussian: sigma is beyond float64's reach",
+    "355.5": "from_gaussian: sigma is beyond float64's reach",
+}
+
+
+@pytest.mark.parametrize("r", HERALD_REACH_LINES)
+def test_command_line_herald_near_the_gate_reach_is_one_line(r, tmp_path):
+    proc = _sqz_run("herald-photon", f"r={r}", tmp_path / "out")
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: {HERALD_REACH_LINES[r]}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_teleport_at_half_gain_runs_to_the_e2r_reach(tmp_path):
     # det(sigma) of the fidelity overflowed above r ~ 179 at gain 0.5
     assert main(["run", "teleport-sweep", "--param", "gain=0.5", "--param", "r_max=354", "--out", str(tmp_path)]) == 0
