@@ -6,8 +6,8 @@ input: a schema violation (no param the scenario does not define, floats
 finite, ints integral, the seed a non-negative integer), a parameter the
 physics rejects, a float overflow, a run out of memory or a Fock cutoff that
 clips a state by more than fock.LEAK_TOLERANCE, 4 file-system failure.
-Every error is one line on stderr; a failed run removes only the directories
-it created.
+Every error is one line on stderr, and so is every warning shown, as
+`warning: <message>`; a failed run removes only the directories it created.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import atexit
 import dataclasses
 import gc
 import sys
+import warnings
 from pathlib import Path
 
 from .fock import TruncationWarning
@@ -86,7 +87,8 @@ def _cmd_list() -> int:
         print(f"{name}: {scenario.description}")
         for pname, spec in scenario.params.items():
             default = "required" if spec.required else f"default {spec.default!r}"
-            print(f"    {pname} ({spec.kind.__name__}, {default}): {spec.help}")
+            kind = " | ".join(spec.choices) if spec.choices else spec.kind.__name__
+            print(f"    {pname} ({kind}, {default}): {spec.help}")
     return EXIT_OK
 
 
@@ -123,20 +125,23 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
-    try:
-        if args.command == "validate":
-            return _cmd_validate(load_config(args.config))
-        return _cmd_run(args)
-    except UnknownScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("run `sqz list` to see the catalog", file=sys.stderr)
-        return EXIT_UNKNOWN_SCENARIO
-    except (ValueError, TruncationWarning, ArithmeticError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():
+        # a warning is one stderr line, as an error is; the filters still decide which are shown
+        warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if args.command == "validate":
+                return _cmd_validate(load_config(args.config))
+            return _cmd_run(args)
+        except UnknownScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            print("run `sqz list` to see the catalog", file=sys.stderr)
+            return EXIT_UNKNOWN_SCENARIO
+        except (ValueError, TruncationWarning, ArithmeticError, MemoryError) as exc:
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return EXIT_SCHEMA
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

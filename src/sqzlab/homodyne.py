@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,33 @@ class QuadratureDataset:
     def __len__(self) -> int:
         return self.xs.size
 
+    @cached_property
+    def _phases(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """The phase table that tomography reads: (thetas, arcs, samples), one entry per phase.
+
+        A sample at theta + pi is the sample -x at theta, so phases are taken mod pi, and two
+        that agree to 9 decimals on that circle are one (pi - 1e-12 is 0). Each entry holds its
+        theta (the lowest raw phase, shifted by whole half-turns), its coverage arc (half the gap
+        to each neighbour, so the arcs sum to pi) and its samples, those of every shifted raw
+        phase joined in raw-phase order, with the sign flipped after an odd number of half-turns.
+        """
+        order = np.argsort(self.thetas, kind="stable")
+        edges = np.flatnonzero(np.diff(self.thetas[order])) + 1
+        raw = self.thetas[order[np.append(0, edges)]]
+        blocks = np.split(self.xs[order], edges)
+        keys = np.mod(np.round(np.mod(raw, np.pi), 9), round(np.pi, 9))
+        turns = np.round((raw - keys) / np.pi)
+        by_key = np.argsort(keys, kind="stable")
+        firsts = np.flatnonzero(np.diff(keys[by_key], prepend=-1.0))
+        samples = [
+            np.concatenate([-blocks[i] if turns[i] % 2 else blocks[i] for i in run])
+            for run in np.split(by_key, firsts[1:])
+        ]
+        distinct = keys[by_key[firsts]]
+        gaps = np.diff(np.append(distinct, distinct[0] + np.pi))
+        thetas = (raw - np.pi * turns)[by_key[firsts]]
+        return thetas, 0.5 * (gaps + np.roll(gaps, 1)), samples
+
 
 def write_table(path, header: list[str], columns, fmt: str = "csv") -> Path:
     """Write equal-length 1-d columns under a header; returns the path written.
@@ -60,7 +88,9 @@ def write_table(path, header: list[str], columns, fmt: str = "csv") -> Path:
     fmt "csv" writes path.csv with LF line ends, float columns as
     repr(float) and other columns as str, a chunk of rows at a time, so the
     text of a whole column is never held at once. fmt "json" writes
-    path.json as a list of {header: value} objects. Raises ValueError,
+    path.json as a list of {header: value} objects, a non-finite float as
+    its CSV text ("inf", "-inf", "nan"), so that the file is valid JSON and
+    float() reads a value alike from both formats. Raises ValueError,
     before opening the file, unless there is one 1-d column per header
     name and all columns have the same length.
     """
@@ -74,8 +104,13 @@ def write_table(path, header: list[str], columns, fmt: str = "csv") -> Path:
         )
     path = Path(path).with_suffix(f".{fmt}")
     if fmt == "json":
-        rows = [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
-        path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", newline="")
+        cells = [
+            [v if math.isfinite(v) else repr(v) for v in col.tolist()]
+            if col.dtype.kind == "f" and not np.all(np.isfinite(col)) else col.tolist()
+            for col in columns
+        ]
+        rows = [dict(zip(header, row)) for row in zip(*cells)]
+        path.write_text(json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n", newline="")
         return path
     texts = [repr if col.dtype.kind == "f" else str for col in columns]
     with open(path, "w", newline="") as fh:
@@ -400,17 +435,6 @@ def wigner_grid(extent: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.column_stack([xx.ravel(), pp.ravel()]), axis, axis
 
 
-def _phase_groups(dataset: QuadratureDataset):
-    order = np.argsort(dataset.thetas, kind="stable")
-    thetas = dataset.thetas[order]
-    xs = dataset.xs[order]
-    edges = np.flatnonzero(np.abs(np.diff(thetas)) > 1e-12) + 1
-    groups = []
-    for block_t, block_x in zip(np.split(thetas, edges), np.split(xs, edges)):
-        groups.append((float(block_t[0]), block_x))
-    return groups
-
-
 def default_filter_cutoff(dataset: QuadratureDataset) -> float:
     """Default tomography filter cutoff: 1.5x a Gaussian-matched estimate.
 
@@ -419,8 +443,7 @@ def default_filter_cutoff(dataset: QuadratureDataset) -> float:
     peak in the characteristic-function domain; beyond it, the sample
     noise dominates the signal.
     """
-    groups = _phase_groups(dataset)
-    per_phase = [float(np.var(xs)) for _, xs in groups if xs.size > 1]
+    per_phase = [float(np.var(xs)) for xs in dataset._phases[2] if xs.size > 1]
     v_min = min(per_phase) if per_phase else float(np.var(dataset.xs))
     v_min = max(v_min, 1e-3)
     return 1.5 * np.sqrt(np.log(max(len(dataset), 2)) / v_min)
@@ -435,29 +458,16 @@ def _ramlak_kernel(t: np.ndarray, kc: float) -> np.ndarray:
     return np.where(small, kc**2 * (1.0 - u**2 / 4.0), out)
 
 
-def _coverage_weights(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Angular weight of each phase group: its Voronoi arc mod pi.
-
-    keys are the groups' phases reduced mod pi and counts their sample
-    counts. Each distinct key owns half the gap to each neighbour on the
-    circle of circumference pi, so the arcs sum to pi; groups sharing a
-    key split its arc in proportion to their counts.
-    """
-    distinct, owner = np.unique(keys, return_inverse=True)
-    gaps = np.diff(np.append(distinct, distinct[0] + np.pi))
-    arcs = 0.5 * (gaps + np.roll(gaps, 1))
-    return arcs[owner] * counts / np.bincount(owner, weights=counts)[owner]
-
-
 def reconstruct_wigner(
     dataset: QuadratureDataset, grid, filter_cutoff: float | None = None
 ) -> np.ndarray:
     """Filtered-backprojection (inverse Radon) Wigner estimate.
 
     grid is an (M, 2) array of (x, p) points. Requires at least 12
-    distinct phases modulo pi; each phase is weighted by the arc of phase
-    it covers mod pi (half the gap to each neighbour), so unevenly spaced
-    phases still integrate over the half circle. filter_cutoff bounds the
+    distinct phases modulo pi, a sample at theta + pi counting as -x at
+    theta; each phase is weighted by the arc of phase it covers mod pi
+    (half the gap to each neighbour), so unevenly spaced phases still
+    integrate over the half circle. filter_cutoff bounds the
     Ram-Lak ramp filter in the characteristic-function domain; by default
     it is chosen from the sample variance (see default_filter_cutoff).
 
@@ -479,24 +489,19 @@ def reconstruct_wigner(
     O(B + M), where B = 20 kc * (span of the binned samples and s).
     """
     points = _phase_space_points(grid, 2)
-    groups = _phase_groups(dataset)
-    keys = np.round(np.mod([t for t, _ in groups], np.pi), 9)
-    # not np.unique, whose no-index path imports numpy.ma (about 8 ms cold)
-    distinct = np.count_nonzero(np.diff(np.sort(keys))) + 1
-    if distinct < 12:
-        raise ValueError(
-            f"insufficient phase coverage: {distinct} distinct phases, need >= 12"
-        )
+    thetas, arcs, samples = dataset._phases
+    if thetas.size < 12:
+        raise ValueError(f"insufficient phase coverage: {thetas.size} distinct phases, need >= 12")
     kc = default_filter_cutoff(dataset) if filter_cutoff is None else float(filter_cutoff)
     if kc <= 0:
         raise ValueError("filter cutoff must be positive")
-    weights = _coverage_weights(keys, np.array([xs.size for _, xs in groups], dtype=float))
     # one bin grid for every phase: |s| never exceeds the largest point radius
     radius = float(np.max(np.hypot(points[:, 0], points[:, 1])))
-    magnitudes = np.abs(dataset.xs)
+    folded = np.concatenate(samples)
+    magnitudes = np.abs(folded)
     rank = max(magnitudes.size - 1 - _DIRECT_MAX, 0)
     reach = max(2.0 * radius, float(np.partition(magnitudes, rank)[rank]))
-    binned = dataset.xs[magnitudes <= reach]
+    binned = folded[magnitudes <= reach]
     dx = 1.0 / (20.0 * kc)
     # two spare bins at each end keep the cubic stencil inside the grid
     lo = min(float(np.min(binned)), -radius) - 2.0 * dx
@@ -507,7 +512,7 @@ def reconstruct_wigner(
     kernel -= (np.roll(kernel, 1) - 2.0 * kernel + np.roll(kernel, -1)) / 12.0
     kernel_hat = np.fft.rfft(kernel)
     accum = np.zeros(points.shape[0])
-    for (theta, xs), weight in zip(groups, weights):
+    for theta, arc, xs in zip(thetas, arcs, samples):
         near = np.abs(xs) <= reach
         u = (xs[near] - lo) / dx
         left = u.astype(np.intp)
@@ -519,7 +524,7 @@ def reconstruct_wigner(
         total = _cubic_interp(filtered, (s - lo) / dx)
         for x in xs[~near]:
             total += _ramlak_kernel(s - x, kc)
-        accum += total * (weight / xs.size)
+        accum += total * (arc / xs.size)
     return accum / (4.0 * np.pi**2)
 
 
@@ -535,20 +540,6 @@ def _cubic_interp(values: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-def moments_from_wigner(points: np.ndarray, values: np.ndarray):
-    """Mean vector and covariance of a sampled Wigner surface.
-
-    Treats the (possibly slightly negative) reconstruction as a density.
-    Far-field reconstruction noise enters with x^2 weight, so prefer
-    wigner_axis_ratio for noisy tomographic estimates.
-    """
-    weights = values / np.sum(values)
-    mean = weights @ points
-    centered = points - mean
-    cov = (centered * weights[:, None]).T @ centered
-    return mean, cov
-
-
 def variance_profile(dataset: QuadratureDataset):
     """Fit V(theta) = a + b cos(2 theta) + c sin(2 theta) to the per-phase
     sample variances.
@@ -557,11 +548,10 @@ def variance_profile(dataset: QuadratureDataset):
     the phase of the squeezed axis. This is the standard sinusoidal law
     for Gaussian states and a good first-pass summary for any dataset.
     """
-    groups = _phase_groups(dataset)
-    if len(groups) < 3:
+    thetas, _, samples = dataset._phases
+    if thetas.size < 3:
         raise ValueError("need at least 3 phases to fit the variance profile")
-    thetas = np.array([t for t, _ in groups])
-    variances = np.array([np.var(xs) for _, xs in groups])
+    variances = np.array([np.var(xs) for xs in samples])
     design = np.column_stack(
         [np.ones_like(thetas), np.cos(2 * thetas), np.sin(2 * thetas)]
     )
@@ -577,11 +567,10 @@ def mean_profile(dataset: QuadratureDataset) -> np.ndarray:
     Uses <X_theta> = mx cos(theta) + mp sin(theta). wigner_axis_ratio
     centres its window on this fit.
     """
-    groups = _phase_groups(dataset)
-    if len(groups) < 2:
+    thetas, _, samples = dataset._phases
+    if thetas.size < 2:
         raise ValueError("need at least 2 phases to fit the mean")
-    thetas = np.array([t for t, _ in groups])
-    means = np.array([np.mean(xs) for _, xs in groups])
+    means = np.array([np.mean(xs) for xs in samples])
     design = np.column_stack([np.cos(thetas), np.sin(thetas)])
     fit, *_ = np.linalg.lstsq(design, means, rcond=None)
     return fit
@@ -604,8 +593,11 @@ def wigner_axis_ratio(
     prec_w = np.linalg.inv(sigma_w)
     pts = np.asarray(points, dtype=float) - mean_profile(dataset)
     window = np.exp(-0.5 * np.einsum("mi,ij,mj->m", pts, prec_w, pts))
-    weighted = np.asarray(values) * window
-    _, cov = moments_from_wigner(pts, weighted)
+    # the windowed surface's covariance, read as a density (it may dip slightly negative)
+    weights = np.asarray(values) * window
+    weights = weights / np.sum(weights)
+    centered = pts - weights @ pts
+    cov = (centered * weights[:, None]).T @ centered
     eigs = np.sort(np.linalg.eigvalsh(cov))
     if eigs[0] <= 0:
         # a grid coarser than the squeezed width cannot resolve it, however clean the samples

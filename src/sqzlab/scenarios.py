@@ -40,6 +40,7 @@ class Param:
     kind: type
     default: object = None  # None means required
     help: str = ""
+    choices: tuple = ()  # the values allowed, if not every value of kind
 
     @property
     def required(self) -> bool:
@@ -133,11 +134,9 @@ def _tomography_state(p):
         return squeeze(vacuum(1), 0, p["r"])
     if kind == "coherent":
         return displace(vacuum(1), 0, p["alpha"])
-    if kind == "single-photon":
-        amps = np.zeros(12)
-        amps[1] = 1.0
-        return fock.from_amplitudes(amps)
-    raise SchemaError(f"param 'state': unknown state kind {kind!r}")
+    amps = np.zeros(12)  # single-photon
+    amps[1] = 1.0
+    return fock.from_amplitudes(amps)
 
 
 def _run_tomography_demo(p, seed):
@@ -290,7 +289,7 @@ _register(
     "tomography-demo",
     "Sample homodyne data and reconstruct the Wigner function.",
     {
-        "state": Param(str, "squeezed", "vacuum | squeezed | coherent | single-photon"),
+        "state": Param(str, "squeezed", "state to sample", ("vacuum", "squeezed", "coherent", "single-photon")),
         "r": Param(float, 0.69, "squeezing parameter (squeezed state)"),
         "alpha": Param(float, 1.0, "real amplitude (coherent state)"),
         "n_phases": Param(int, 24, "phases over [0, pi)"),
@@ -404,10 +403,11 @@ def resolve(config: ScenarioConfig) -> tuple[Scenario, dict]:
     """Decide whether a run may start: its scenario, format, seed and params.
 
     Returns the scenario and its params typed by the schema, defaults filled
-    in. Every param must be in the schema, floats finite, ints integral and
-    the seed a non-negative integer; a boolean is none of these. Raises
-    UnknownScenarioError or SchemaError and touches no file. `run_scenario`
-    and `sqz validate` both decide by this call.
+    in. Every param must be in the schema, floats finite, ints integral, a
+    param with choices one of them, and the seed a non-negative integer; a
+    boolean is none of these. Raises UnknownScenarioError or SchemaError and
+    touches no file. `run_scenario` and `sqz validate` both decide by this
+    call.
     """
     if config.scenario not in CATALOG:
         raise UnknownScenarioError(f"unknown scenario {config.scenario!r}")
@@ -439,6 +439,8 @@ def resolve(config: ScenarioConfig) -> tuple[Scenario, dict]:
                 problems.append(f"param {name!r}: {value!r} is not finite")
             elif spec.kind is int and isinstance(value, float) and params[name] != value:
                 problems.append(f"param {name!r}: {value!r} is not an integer")
+            elif spec.choices and params[name] not in spec.choices:
+                problems.append(f"param {name!r}: {value!r} is not one of {', '.join(spec.choices)}")
     if problems:
         raise SchemaError("; ".join(problems))
     return scenario, params

@@ -62,6 +62,19 @@ def test_catalog_outputs_have_lf_line_ends(catalog):
     assert with_cr == []
 
 
+def test_catalog_json_outputs_are_valid_json(catalog):
+    # no NaN or Infinity, which JSON does not define and strict parsers refuse
+    root, sums = catalog
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for key in sums:
+        name, fmt, file = key.split("/")
+        if file.endswith(".json"):
+            json.loads((root / fmt / name / file).read_text(), parse_constant=refuse)
+
+
 if __name__ == "__main__":
     import tempfile
 

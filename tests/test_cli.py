@@ -266,6 +266,7 @@ class TestCliMain:
         for name in CATALOG:
             assert name in out
         assert "r_max" in out
+        assert "state (vacuum | squeezed | coherent | single-photon, default 'squeezed')" in out
 
     def test_sqz_out_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SQZ_OUT", str(tmp_path / "envbase"))

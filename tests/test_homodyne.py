@@ -1,5 +1,6 @@
 """Measurement layer: samplers, spectra, tomography."""
 
+import json
 import math
 import time
 
@@ -14,6 +15,7 @@ from sqzlab.homodyne import (
     QuadratureDataset,
     default_filter_cutoff,
     load_dataset_csv,
+    mean_profile,
     photocurrent_with_drift,
     quadrature_pdf,
     reconstruct_wigner,
@@ -487,9 +489,6 @@ class TestTomography:
 
     def test_displaced_squeezed_state_ratio(self):
         # a bright squeezed state: the window must track the fitted mean
-        from sqzlab.gaussian import displace
-        from sqzlab.homodyne import mean_profile
-
         r = 0.5
         state = displace(squeeze(vacuum(1), 0, r), 0, 0.8)
         thetas = np.linspace(0, math.pi, 16, endpoint=False)
@@ -508,6 +507,35 @@ class TestTomography:
         ds = sample_quadratures(vacuum(1), 0, thetas, 100, seed=44)
         with pytest.raises(ValueError, match="phase coverage"):
             reconstruct_wigner(ds, [[0.0, 0.0]])
+
+    def test_full_circle_is_its_folded_half_circle(self):
+        # a sample at theta + pi is the sample -x at theta, so both records are one dataset
+        state = displace(squeeze(vacuum(1), 0, 0.5, phi=0.7), 0, 0.6 + 0.3j)
+        ds = sample_quadratures(state, 0, np.linspace(0, 2 * math.pi, 24, endpoint=False), 500, seed=61)
+        back = ds.thetas >= math.pi
+        folded = QuadratureDataset(np.where(back, ds.thetas - math.pi, ds.thetas), np.where(back, -ds.xs, ds.xs))
+        points = wigner_grid(4.0, 41)[0]
+        w_full, w_folded = reconstruct_wigner(ds, points), reconstruct_wigner(folded, points)
+        assert np.max(np.abs(w_full - w_folded)) <= 1e-13 * np.max(np.abs(w_full))
+        for read in (variance_profile, mean_profile, default_filter_cutoff):
+            np.testing.assert_allclose(read(ds), read(folded), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("twin", [1e-12, math.pi + 1e-12, math.pi - 1e-12])
+    def test_phases_equal_to_nine_decimals_mod_pi_count_once(self, twin):
+        # twin joins phase 0 (pi - 1e-12 from below the wrap), so 12 phases are 11
+        thetas = np.append(np.linspace(0, math.pi, 11, endpoint=False), twin)
+        ds = sample_quadratures(vacuum(1), 0, thetas, 50, seed=62)
+        with pytest.raises(ValueError, match="11 distinct phases, need >= 12"):
+            reconstruct_wigner(ds, [[0.0, 0.0]])
+
+    def test_phase_table_joins_shifted_phases_once_per_dataset(self):
+        ds = QuadratureDataset(np.array([0.3, 0.3 + math.pi, 1.0, 2 * math.pi - 1e-12]), np.array([1.0, 2.0, 3.0, 4.0]))
+        thetas, arcs, samples = ds._phases
+        np.testing.assert_allclose(thetas, [-1e-12, 0.3, 1.0], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(arcs, [(math.pi - 0.7) / 2, 0.5, (math.pi - 0.3) / 2], rtol=0.0, atol=1e-9)
+        assert math.fsum(arcs) == pytest.approx(math.pi, abs=1e-15)
+        assert [xs.tolist() for xs in samples] == [[4.0], [1.0, -2.0], [3.0]]
+        assert ds._phases is ds._phases
 
     def test_explicit_cutoff_used(self):
         thetas = np.linspace(0, math.pi, 12, endpoint=False)
@@ -566,6 +594,15 @@ class TestCsvWriters:
             assert write_table(tmp_path / str(i), header, columns).read_bytes() == expected
         assert save_dataset_csv(dataset, tmp_path / "data.csv").read_bytes() == cases[0][2]
 
+    def test_json_writes_non_finite_floats_as_csv_text(self, tmp_path):
+        columns = [["a", "b", "c", "d"], [0.5, math.inf, -math.inf, math.nan]]
+        csv_path = write_table(tmp_path / "t", ["quantity", "value"], columns)
+        json_path = write_table(tmp_path / "t", ["quantity", "value"], columns, "json")
+        rows = json.loads(json_path.read_text(), parse_constant=_refuse)
+        assert [row["value"] for row in rows] == [0.5, "inf", "-inf", "nan"]
+        from_csv = [line.split(",")[1] for line in csv_path.read_text().splitlines()[1:]]
+        assert [repr(float(row["value"])) for row in rows] == [repr(float(v)) for v in from_csv]
+
     @pytest.mark.parametrize(
         "header, columns",
         [
@@ -579,6 +616,10 @@ class TestCsvWriters:
         with pytest.raises(ValueError, match="one 1-d column per name"):
             write_table(tmp_path / "table", header, columns, fmt)
         assert list(tmp_path.iterdir()) == []
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
 
 
 # -- one grid check for every phase-space evaluator ------------------------------

@@ -43,6 +43,7 @@ SCHEMA_CASES = {
     "bool-float": ("loss-sweep", {"r": False}, 0),
     "bool-seed-and-params": ("loss-sweep", {"t_steps": True, "r": False}, True),
     "unknown-param": ("kitten", {"alpha": 1e300}, 0),
+    "unknown-state-kind": ("tomography-demo", {"state": "thermal"}, 0),
 }
 PHYSICS_CASES = {
     "no-samples": ("tomography-demo", {"n_per_phase": 0}, 0),
@@ -52,7 +53,6 @@ PHYSICS_CASES = {
     "kitten-zero-cutoff": ("kitten", {"cutoff": 0}, 0),
     "superposition-zero-cutoff": ("kitten-superposition", {"cutoff": 0}, 0),
     "negative-grid-extent": ("tomography-demo", {"grid_extent": -1.0}, 0),
-    "unknown-state-kind": ("tomography-demo", {"state": "thermal"}, 0),
     "negative-drift": ("spectrum-drift-demo", {"drift_amplitude": -0.75}, 0),
     "coarse-surface": ("tomography-demo", {"state": "vacuum", "n_phases": 12, "n_per_phase": 20, "grid_extent": 1.0, "grid_n": 3}, 0),
     "empty-grid": ("tomography-demo", {"grid_n": 0}, 0),
@@ -135,6 +135,21 @@ def test_command_line_nan_is_one_line_without_traceback(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr == "error: param 'r': nan is not finite\n"
     assert not (tmp_path / "out").exists()
+
+
+# a run that warns prints one line per warning, and no source line
+WARNING_LINES = {
+    ("gw-snr-sweep", "phi=0.2"): "|phi| = 0.2 outside the linearized regime",
+    ("kitten-superposition", "ancilla_re=0.8"): "ancilla is not weak; higher photon terms will intrude",
+}
+
+
+@pytest.mark.parametrize("scenario, param", WARNING_LINES)
+def test_command_line_warning_is_one_line(scenario, param, tmp_path):
+    proc = _sqz_run(scenario, param, tmp_path / "out")
+    assert proc.returncode == 0
+    assert proc.stderr == f"warning: {WARNING_LINES[scenario, param]}\n"
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 # cosh(r) is finite at r = 400, but the covariance's cosh(2r)/2 is not
