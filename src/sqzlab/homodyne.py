@@ -58,14 +58,14 @@ class QuadratureDataset:
     def _phases(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """The phase table that tomography reads: (thetas, arcs, samples), one entry per phase.
 
-        A sample at theta + pi is the sample -x at theta, so phases are taken mod pi, and two
-        that agree to 9 decimals on that circle are one (pi - 1e-12 is 0). Each entry holds its
-        theta (the lowest raw phase, shifted by whole half-turns), its coverage arc (half the gap
-        to each neighbour, so the arcs sum to pi) and its samples, those of every shifted raw
-        phase joined in raw-phase order, with the sign flipped after an odd number of half-turns.
+        Raw phases at most 1e-12 apart are one. A sample at theta + pi is the sample -x at theta, so
+        phases are taken mod pi, and two that agree to 9 decimals on that circle are one (pi - 1e-12
+        is 0). Each entry holds its theta (the lowest raw phase, shifted by whole half-turns), its
+        coverage arc (half the gap to each neighbour, so the arcs sum to pi) and its samples, those of
+        every shifted raw phase joined in raw-phase order, the sign flipped after odd half-turns.
         """
         order = np.argsort(self.thetas, kind="stable")
-        edges = np.flatnonzero(np.diff(self.thetas[order])) + 1
+        edges = np.flatnonzero(np.diff(self.thetas[order]) > 1e-12) + 1
         raw = self.thetas[order[np.append(0, edges)]]
         blocks = np.split(self.xs[order], edges)
         keys = np.mod(np.round(np.mod(raw, np.pi), 9), round(np.pi, 9))
@@ -105,8 +105,7 @@ def write_table(path, header: list[str], columns, fmt: str = "csv") -> Path:
     path = Path(path).with_suffix(f".{fmt}")
     if fmt == "json":
         cells = [
-            [v if math.isfinite(v) else repr(v) for v in col.tolist()]
-            if col.dtype.kind == "f" and not np.all(np.isfinite(col)) else col.tolist()
+            [v if math.isfinite(v) else repr(v) for v in col.tolist()] if col.dtype.kind == "f" else col.tolist()
             for col in columns
         ]
         rows = [dict(zip(header, row)) for row in zip(*cells)]

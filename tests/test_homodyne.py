@@ -520,10 +520,15 @@ class TestTomography:
         for read in (variance_profile, mean_profile, default_filter_cutoff):
             np.testing.assert_allclose(read(ds), read(folded), rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("twin", [1e-12, math.pi + 1e-12, math.pi - 1e-12])
-    def test_phases_equal_to_nine_decimals_mod_pi_count_once(self, twin):
-        # twin joins phase 0 (pi - 1e-12 from below the wrap), so 12 phases are 11
-        thetas = np.append(np.linspace(0, math.pi, 11, endpoint=False), twin)
+    @pytest.mark.parametrize(
+        "twins",
+        [[1e-12], [math.pi + 1e-12], [math.pi - 1e-12], [0.5000000005 - 4e-13, 0.5000000005 + 4e-13]],
+        ids=["above-zero", "above-pi", "below-pi", "straddling-a-rounding-boundary"],
+    )
+    def test_phases_equal_to_nine_decimals_mod_pi_count_once(self, twins):
+        # a twin joins phase 0 (pi - 1e-12 from below the wrap); a pair 8e-13 apart is one raw
+        # phase even where its two 9-decimal keys would differ; either way 12 phases are 11
+        thetas = np.append(np.linspace(0, math.pi, 12 - len(twins), endpoint=False), twins)
         ds = sample_quadratures(vacuum(1), 0, thetas, 50, seed=62)
         with pytest.raises(ValueError, match="11 distinct phases, need >= 12"):
             reconstruct_wigner(ds, [[0.0, 0.0]])
